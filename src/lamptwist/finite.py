@@ -6,19 +6,23 @@ points (lexicographic order), then the shift in base m, so that
 
     index = torsion_index * m^k + shift_index.
 
+Whole-group arrays (the translations x -> a x b, descended automorphisms,
+reductions mod a divisor) are built by numpy digit arithmetic on this
+encoding; a translation costs O(|G|) work, and no multiplication table is
+ever formed.
+
 Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
-Because that map is a genuine group action, running over every h in G in a
-single pass already produces whole orbits; the default implementation takes
-per-element minima over the all-h image table (vectorized), and a literal
-union-find over the same edge set is kept alongside for cross-checking.
-Everything here is deterministic: representatives are minimal element
-indices and class ids are their ranks.
+That is a genuine group action, so its orbits are already the connected
+components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
+are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
+per round.  A literal union-find over every pair (h, x) is kept alongside for
+cross-checking.  Everything here is deterministic: representatives are
+minimal element indices and class ids are their ranks.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +32,6 @@ from .matrix import mat_vec
 from .automorphism import WreathAutomorphism, InvalidAutomorphism
 
 DEFAULT_BUDGET = 10**6
-TABLE_CAP = 3000
-EXHAUSTIVE_CAP = 3000
-SAMPLE_PAIRS = 2000
 
 
 class BudgetExceeded(RuntimeError):
@@ -54,12 +55,12 @@ class FiniteWreathGroup:
         self.modulus = modulus
         self.box = box
         self.rank = rank
-        points = list(itertools.product(range(box), repeat=rank))
-        npoints = len(points)
+        npoints = box**rank
         if npoints > 60:
             raise BudgetExceeded(
                 f"box {box}^{rank} has {npoints} points; the model order exceeds any budget"
             )
+        points = list(itertools.product(range(box), repeat=rank))
         self.points = points
         self.point_count = npoints
         self.torsion_count = modulus**npoints
@@ -111,8 +112,6 @@ class FiniteWreathGroup:
     # -- group law -------------------------------------------------------------
 
     def multiply(self, i: int, j: int) -> int:
-        if self._tables is not None:
-            return int(self._tables["cayley"][i, j])
         (c1, z1), (c2, z2) = self.decode(i), self.decode(j)
         perm = self._shift_perms[self._point_index[z1]]
         combined = list(c1)
@@ -124,8 +123,6 @@ class FiniteWreathGroup:
         return self.encode(combined, shift)
 
     def inverse(self, i: int) -> int:
-        if self._tables is not None:
-            return int(self._tables["inverse"][i])
         coeffs, z = self.decode(i)
         neg = tuple((-c) % self.box for c in z)
         perm = self._shift_perms[self._point_index[neg]]
@@ -134,52 +131,71 @@ class FiniteWreathGroup:
             shifted[perm[idx]] = c
         return self.encode([(-c) % self.modulus for c in shifted], neg)
 
-    # -- vectorized tables -------------------------------------------------------
+    # -- vectorized arithmetic ---------------------------------------------------
 
     def ensure_tables(self) -> dict:
-        if self._tables is not None:
-            return self._tables
-        if self.order > TABLE_CAP:
-            raise BudgetExceeded(
-                f"|G| = {self.order} exceeds the table cap {TABLE_CAP}; "
-                "class computations need the multiplication table"
-            )
-        n, pcount = self.modulus, self.point_count
-        tcount = self.torsion_count
-        d = np.arange(tcount, dtype=np.int64)
-        digits = np.empty((tcount, pcount), dtype=np.int64)
-        for i in range(pcount):
-            digits[:, i] = d % n
-            d = d // n
-        wt = n ** np.arange(pcount, dtype=np.int64)
-        perms = np.array(self._shift_perms, dtype=np.int64)  # (S, P)
-        tshift = (digits @ wt[perms].T).T.copy()  # (S, T)
-        tadd = ((digits[:, None, :] + digits[None, :, :]) % n) @ wt  # (T, T)
-        tneg = ((n - digits) % n) @ wt  # (T,)
-        sneg = np.array(
-            [self._point_index[tuple((-c) % self.box for c in p)] for p in self.points],
-            dtype=np.int64,
-        )
-        order = self.order
-        ti = np.arange(order, dtype=np.int64) // pcount
-        si = np.arange(order, dtype=np.int64) % pcount
-        cayley = (
-            tadd[ti[:, None], tshift[si[:, None], ti[None, :]]] * pcount
-            + perms[si[:, None], si[None, :]]
-        ).astype(np.int32)
-        inverse = (tneg[tshift[sneg[si], ti]] * pcount + sneg[si]).astype(np.int32)
-        self._tables = {
-            "digits": digits,
-            "wt": wt,
-            "tadd": tadd,
-            "tshift": tshift,
-            "tneg": tneg,
-            "sneg": sneg,
-            "perms": perms,
-            "cayley": cayley,
-            "inverse": inverse,
-        }
+        """Digit tables of the encoding: O(|G|) entries, built once per model."""
+        if self._tables is None:
+            n, pcount = self.modulus, self.point_count
+            d = np.arange(self.torsion_count, dtype=np.int64)
+            digits = np.empty((self.torsion_count, pcount), dtype=np.int64)
+            for i in range(pcount):
+                digits[:, i] = d % n
+                d //= n
+            self._tables = {
+                "digits": digits,
+                "wt": n ** np.arange(pcount, dtype=np.int64),
+                "perms": np.array(self._shift_perms, dtype=np.int64),
+                "sneg": np.array(
+                    [self._point_index[tuple((-c) % self.box for c in p)] for p in self.points],
+                    dtype=np.int64,
+                ),
+            }
         return self._tables
+
+    def _torsion_maps(self, shifts, addends) -> np.ndarray:
+        """Row r sends every torsion index t to shifts[r] . c_t + addends[r].
+
+        `shifts` holds point indices and `addends` digit vectors over the slots.
+        The image index is a sum of one term per digit of t, so it is summed
+        from the low and the high half of the digits, each tabulated over
+        about sqrt(T) values: O(T) work per row.
+        """
+        tables = self.ensure_tables()
+        digits, wt, perms = tables["digits"], tables["wt"], tables["perms"]
+        n, pcount = self.modulus, self.point_count
+        target = perms[shifts]  # slot i of c_t moves to slot target[r, i]
+        added = np.asarray(addends)[np.arange(len(target))[:, None], target]
+        # term[r, i * n + d]: the contribution of digit value d at slot i
+        term = (np.arange(n) + added[:, :, None]) % n * wt[target][:, :, None]
+        term = term.reshape(len(target), -1)
+        low = pcount // 2
+        high = term[:, np.arange(low, pcount) * n + digits[: n ** (pcount - low), : pcount - low]]
+        rest = term[:, np.arange(low) * n + digits[: n**low, :low]]
+        out = high.sum(axis=2)[:, :, None] + rest.sum(axis=2)[:, None, :]
+        return out.reshape(len(target), -1)
+
+    def _elements(self, torsion_maps: np.ndarray, shift_maps) -> np.ndarray:
+        """Row j is the array x -> (torsion_maps[j, z_x](t_x), shift_maps[j, z_x]).
+
+        `torsion_maps` has one row per shift, or a single row for all shifts.
+        """
+        out = torsion_maps * self.point_count + np.asarray(shift_maps)[:, :, None]
+        return out.swapaxes(1, 2).reshape(len(out), -1)
+
+    def translations(self, pairs) -> np.ndarray:
+        """Row j is the array x -> a x b over all x, for (a, b) = pairs[j]."""
+        tables = self.ensure_tables()
+        digits, perms, sneg = tables["digits"], tables["perms"], tables["sneg"]
+        pcount = self.point_count
+        (ta, sa), (tb, sb) = (np.divmod(np.array(side), pcount) for side in zip(*pairs))
+        # a x b = (c_a + z_a . c_x + (z_a + z_x) . c_b, z_a + z_x + z_b),
+        # where (z . c)[i] = c[i - z]; row r of each pair is the shift z_x = r
+        front = perms[sa]  # z_a + z_x
+        moved_b = digits[tb][np.arange(len(tb))[:, None, None], perms[sneg[front]]]
+        addends = (digits[ta][:, None, :] + moved_b).reshape(-1, pcount)
+        torsion = self._torsion_maps(np.repeat(sa, pcount), addends)
+        return self._elements(torsion.reshape(len(ta), pcount, -1), perms[front, sb[:, None]])
 
     # -- bridges to the infinite group -------------------------------------------
 
@@ -213,8 +229,8 @@ def build_group(n: int, m: int, k: int, budget: int = DEFAULT_BUDGET) -> FiniteW
 class FiniteAutomorphism:
     """Automorphism of a finite model, stored as a permutation table.
 
-    Construction verifies bijectivity always, and multiplicativity
-    exhaustively up to the table cap (seeded sampling above it).
+    Construction verifies, exactly, that the table is a bijection and a
+    homomorphism (see `_verify`).
     """
 
     def __init__(self, group: FiniteWreathGroup, table, provenance: str = "", check: bool = True):
@@ -227,41 +243,34 @@ class FiniteAutomorphism:
             self._verify()
 
     def _verify(self):
+        """Check bijectivity, then T(x s) == T(x) T(s) for every x and generator s.
+
+        The second check is exact.  Taking x = e gives T(s) = T(e) T(s), so
+        T(e) = e.  G is finite, so every y in G is a product s_1 ... s_r of
+        generators (no inverses needed), and induction on r gives
+        T(x s_1 ... s_r) = T(x) T(s_1) ... T(s_r); at x = e this reads
+        T(y) = T(s_1) ... T(s_r), hence T(x y) = T(x) T(y) for all x and y.
+        """
         group = self.group
-        order = group.order
-        if not np.array_equal(np.sort(self.table), np.arange(order, dtype=np.int32)):
-            raise InvalidAutomorphism(f"{self.provenance or 'map'} is not a bijection")
-        if order <= EXHAUSTIVE_CAP:
-            cay = group.ensure_tables()["cayley"]
-            lhs = self.table[cay]
-            rhs = cay[self.table[:, None], self.table[None, :]]
-            if not np.array_equal(lhs, rhs):
-                raise InvalidAutomorphism(
-                    f"{self.provenance or 'map'} is not multiplicative on the full table"
-                )
-        else:
-            rng = random.Random(0xC0FFEE)
-            for _ in range(SAMPLE_PAIRS):
-                a = rng.randrange(order)
-                b = rng.randrange(order)
-                if self.table[group.multiply(a, b)] != group.multiply(
-                    int(self.table[a]), int(self.table[b])
-                ):
-                    raise InvalidAutomorphism(
-                        f"{self.provenance or 'map'} fails multiplicativity at ({a}, {b})"
-                    )
+        name = self.provenance or "map"
+        if not np.array_equal(np.sort(self.table), np.arange(group.order, dtype=np.int32)):
+            raise InvalidAutomorphism(f"{name} is not a bijection")
+        gens = group.generators()
+        lhs = self.table[group.translations([(group.identity, s) for s in gens])]
+        rhs = group.translations([(group.identity, self(s)) for s in gens])[:, self.table]
+        for s, left, right in zip(gens, lhs, rhs):
+            if not np.array_equal(left, right):
+                raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
 
     def __call__(self, index: int) -> int:
         return int(self.table[index])
 
     def twisted_by(self, g: int) -> "FiniteAutomorphism":
         """Inner twist: conjugation by g composed after this automorphism."""
-        tables = self.group.ensure_tables()
-        cay = tables["cayley"]
-        inv = tables["inverse"]
-        twisted = cay[cay[g, self.table], inv[g]]
+        group = self.group
+        conjugation = group.translations([(g, group.inverse(g))])[0]
         return FiniteAutomorphism(
-            self.group, twisted, provenance=f"tw[{g}]*{self.provenance}", check=False
+            group, conjugation[self.table], provenance=f"tw[{g}]*{self.provenance}", check=False
         )
 
     def shift_map(self) -> np.ndarray:
@@ -321,32 +330,11 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
         group._point_index[tuple(c % m for c in mat_vec(aut.matrix, p))] for p in group.points
     ]
 
-    if group.order <= TABLE_CAP:
-        tables = group.ensure_tables()
-        digits, wt, tadd = tables["digits"], tables["wt"], tables["tadd"]
-        umat = np.array(u_rows, dtype=np.int64)
-        image_digits = (digits @ umat) % n
-        tu = image_digits @ wt
-        corr_idx = np.array([group.encode(vec, (0,) * k) // pcount for vec in corr], dtype=np.int64)
-        smap = np.array(shift_map, dtype=np.int64)
-        order = group.order
-        ti = np.arange(order, dtype=np.int64) // pcount
-        si = np.arange(order, dtype=np.int64) % pcount
-        table = (tadd[tu[ti], corr_idx[si]] * pcount + smap[si]).astype(np.int32)
-    else:
-        table = np.empty(group.order, dtype=np.int32)
-        for idx in range(group.order):
-            coeffs, shift = group.decode(idx)
-            out = [0] * pcount
-            for slot, c in enumerate(coeffs):
-                if c:
-                    row = u_rows[slot]
-                    for tgt in range(pcount):
-                        out[tgt] = (out[tgt] + c * row[tgt]) % n
-            s = group._point_index[shift]
-            out = [(a + b) % n for a, b in zip(out, corr[s])]
-            table[idx] = group.encode(out, group.points[shift_map[s]])
-
+    # (c, z) -> (U c + corr[z], M z), with U the linear map whose rows are u_rows
+    tables = group.ensure_tables()
+    linear = ((tables["digits"] @ np.array(u_rows, dtype=np.int64)) % n) @ tables["wt"]
+    added = group._torsion_maps(np.zeros(pcount, dtype=np.int64), corr)
+    table = group._elements(added[None, :, linear], [shift_map])[0]
     return FiniteAutomorphism(group, table, provenance=f"descended({aut.label()})")
 
 
@@ -367,20 +355,38 @@ class TwistedClassPartition:
 
 
 def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
-    """Orbits of x -> h x aut(h^-1), uniting over every h in the group."""
-    tables = group.ensure_tables()
-    cay = tables["cayley"]
-    inv = tables["inverse"]
-    finv = aut.table[inv]
-    images = cay[cay, finv[:, None]]  # images[h, g] = (h g) * aut(h^-1)
-    minima = images.min(axis=0)  # the h = identity row keeps g itself
-    reps = np.unique(minima)
-    labels = np.searchsorted(reps, minima)
+    """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
+    edges = group.translations([(s, group.inverse(aut(s))) for s in group.generators()])
+    minima = _orbit_minima(edges, group.order)
+    is_rep = minima == np.arange(group.order)
+    labels = (np.cumsum(is_rep) - 1)[minima]
+    reps = np.flatnonzero(is_rep)
     return TwistedClassPartition(
-        labels=tuple(int(x) for x in labels),
-        reps=tuple(int(r) for r in reps),
-        count=int(len(reps)),
+        labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
     )
+
+
+def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
+    """The least element of each element's orbit under the permutation rows of `edges`.
+
+    Min-label propagation: every edge x -> e(x) hooks the label of each end
+    onto the smaller of the two labels, then one pointer jump per round
+    shortens the label chains.  A label is always an element of the same
+    orbit and never larger than its element, so a round that changes nothing
+    leaves the labels flat and constant along every edge, each orbit labelled
+    by its least element.
+    """
+    labels = np.arange(order, dtype=np.int64)
+    while True:
+        before = labels.copy()
+        for edge in edges:
+            here, there = labels.copy(), labels[edge]
+            low = np.minimum(here, there)
+            np.minimum.at(labels, here, low)
+            np.minimum.at(labels, there, low)
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def twisted_classes_unionfind(
@@ -428,11 +434,8 @@ def fixed_conjugacy_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -
     """Number of ordinary conjugacy classes mapped to themselves by aut."""
     part = group.conjugacy_partition()
     labels = np.asarray(part.labels)
-    count = 0
-    for rep in part.reps:
-        if labels[aut(rep)] == labels[rep]:
-            count += 1
-    return count
+    reps = np.asarray(part.reps)
+    return int(np.count_nonzero(labels[aut.table[reps]] == labels[reps]))
 
 
 # -- verification reports --------------------------------------------------------
@@ -483,9 +486,6 @@ def verify_shift_invariance(
     group: FiniteWreathGroup, aut: FiniteAutomorphism, g: int
 ) -> list[OracleCheck]:
     """Count invariance under inner twists plus the class-level bijection."""
-    tables = group.ensure_tables()
-    cay = tables["cayley"]
-    inv = tables["inverse"]
     base = twisted_classes(group, aut)
     twisted = twisted_classes(group, aut.twisted_by(g))
     params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
@@ -496,8 +496,8 @@ def verify_shift_invariance(
     ]
     # right translation by g must send classes of aut onto classes of the
     # inverse twist, one to one
-    other = twisted_classes(group, aut.twisted_by(int(inv[g])))
-    mapped = np.asarray(other.labels)[cay[:, g]]
+    other = twisted_classes(group, aut.twisted_by(group.inverse(g)))
+    mapped = np.asarray(other.labels)[group.translations([(group.identity, g)])[0]]
     pairs = np.unique(np.asarray(base.labels).astype(np.int64) * group.order + mapped)
     checks.append(
         OracleCheck("shift-classmap", params, len(pairs) == base.count, len(pairs), base.count)
@@ -511,11 +511,9 @@ def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np
     """Elementwise coefficient reduction map between models sharing box and rank."""
     if big.box != small.box or big.rank != small.rank or big.modulus % small.modulus:
         raise ValueError("projection needs equal boxes and a dividing modulus")
-    out = np.empty(big.order, dtype=np.int32)
-    for idx in range(big.order):
-        coeffs, shift = big.decode(idx)
-        out[idx] = small.encode([c % small.modulus for c in coeffs], shift)
-    return out
+    d, pcount = small.modulus, big.point_count
+    torsion = (big.ensure_tables()["digits"] % d) @ (d ** np.arange(pcount, dtype=np.int64))
+    return big._elements(torsion[None, None, :], [np.arange(pcount)])[0].astype(np.int32)
 
 
 def verify_projection(

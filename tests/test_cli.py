@@ -1,4 +1,7 @@
+import gzip
 import json
+import pathlib
+import time
 
 import pytest
 
@@ -12,6 +15,8 @@ from lamptwist import (
     fileformat,
 )
 from lamptwist.finite import OracleCheck
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -263,6 +268,33 @@ class TestOracle:
     def test_budget_guard(self, capsys):
         code, _, err = run(capsys, "oracle", "7", "3", "2", "--budget", "100")
         assert code == 1 and "budget" in err
+
+    def test_huge_box_refused_before_enumeration(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "3", "1000", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("3-2-2-tbft-shift-restriction", ["3", "2", "2", "--check", "tbft,shift,restriction"]),
+            (
+                "25-2-1-tbft-projection-d5",
+                ["25", "2", "1", "--check", "tbft,projection", "--divisor", "5"],
+            ),
+            ("7-3-1-shift", ["7", "3", "1", "--check", "shift"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_golden_output(self, capsys, name, argv, fmt):
+        # byte-for-byte captures of the oracle's stdout, which must not change
+        code, out, err = run(capsys, "oracle", *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        with gzip.open(GOLDEN / f"oracle-{name}.{fmt}.gz", "rt", encoding="utf-8") as fh:
+            assert out == fh.read()
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-import lamptwist.finite as finite
 from lamptwist import (
     BudgetExceeded,
     DescentError,
@@ -27,7 +26,49 @@ from lamptwist import (
     zero_cocycle_automorphisms,
     zero_cocycle_catalog,
 )
-from lamptwist.finite import OracleCheck, projection_index_map
+from lamptwist.finite import OracleCheck, TwistedClassPartition, projection_index_map
+
+# the acceptance gate's FINITE_MODELS plus (2, 2, 2)
+REFERENCE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2), (2, 2, 2))
+
+
+def reference_cayley(group):
+    """Cayley table and inverse array of a small model, built over all pairs.
+
+    An O(|G|^2) construction that shares no code with `translations`, kept as
+    a reference for the class counts.
+    """
+    n, pcount, tcount = group.modulus, group.point_count, group.torsion_count
+    d = np.arange(tcount, dtype=np.int64)
+    digits = np.empty((tcount, pcount), dtype=np.int64)
+    for i in range(pcount):
+        digits[:, i] = d % n
+        d = d // n
+    wt = n ** np.arange(pcount, dtype=np.int64)
+    perms = np.array(group._shift_perms, dtype=np.int64)
+    tshift = (digits @ wt[perms].T).T.copy()
+    tadd = ((digits[:, None, :] + digits[None, :, :]) % n) @ wt
+    tneg = ((n - digits) % n) @ wt
+    sneg = np.array([group.encode([0] * pcount, tuple(-c for c in p)) for p in group.points])
+    ti = np.arange(group.order, dtype=np.int64) // pcount
+    si = np.arange(group.order, dtype=np.int64) % pcount
+    cayley = (
+        tadd[ti[:, None], tshift[si[:, None], ti[None, :]]] * pcount
+        + perms[si[:, None], si[None, :]]
+    )
+    inverse = tneg[tshift[sneg[si], ti]] * pcount + sneg[si]
+    return cayley.astype(np.int32), inverse.astype(np.int32)
+
+
+def all_h_classes(cayley, inverse, aut):
+    """Twisted classes as per-element minima over the image table of every h."""
+    images = cayley[cayley, aut.table[inverse][:, None]]  # images[h, g] = (h g) aut(h^-1)
+    minima = images.min(axis=0)
+    reps = np.unique(minima)
+    labels = np.searchsorted(reps, minima)
+    return TwistedClassPartition(
+        labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
+    )
 
 
 class TestGroupModel:
@@ -71,22 +112,26 @@ class TestGroupModel:
             assert g.multiply(i, g.inverse(i)) == g.identity
 
     def test_tables_agree_with_fallback(self):
+        # the vectorized translations against the elementwise group law
         rng = random.Random(71)
-        plain = build_group(5, 2, 1)
-        tabled = build_group(5, 2, 1)
-        tabled.ensure_tables()
-        for _ in range(200):
-            i, j = rng.randrange(plain.order), rng.randrange(plain.order)
-            assert plain.multiply(i, j) == tabled.multiply(i, j)
-            assert plain.inverse(i) == tabled.inverse(i)
+        for model in ((5, 2, 1), (3, 2, 2), (2, 3, 2)):
+            g = build_group(*model)
+            for _ in range(20):
+                a, b = rng.randrange(g.order), rng.randrange(g.order)
+                left, right, both = g.translations([(a, g.identity), (g.identity, b), (a, b)])
+                for x in rng.sample(range(g.order), 30):
+                    assert left[x] == g.multiply(a, x)
+                    assert right[x] == g.multiply(x, b)
+                    assert both[x] == g.multiply(g.multiply(a, x), b)
 
-    def test_table_cap(self):
-        g = build_group(7, 2, 2)  # order 9604: buildable, not table-able
+    def test_no_table_cap(self):
+        g = build_group(7, 2, 2)  # order 9604: class counts need no multiplication table
         assert g.order == 9604
-        with pytest.raises(BudgetExceeded):
-            g.ensure_tables()
-        # elementwise arithmetic still works
-        assert g.multiply(g.identity, 5) == 5
+        f = descend_automorphism(finite_reidemeister_automorphism(7, 2), g)
+        assert twisted_classes(g, f).count == 4
+        chk = verify_tbft_finite(g, f)
+        assert chk.passed and chk.lhs == 4, chk.line()
+        assert sum(a.nbytes for a in g.ensure_tables().values()) < 1 << 20
 
     def test_render(self):
         g = build_group(3, 2, 1)
@@ -120,6 +165,19 @@ class TestFiniteAutomorphism:
             x = rng.randrange(g.order)
             tw = f.twisted_by(a)
             assert tw(x) == g.multiply(g.multiply(a, f(x)), g.inverse(a))
+
+    def test_rejects_swap_of_two_non_generators(self):
+        # agrees with an automorphism on the generators and everywhere but two
+        # elements, so only a check over every x can catch it
+        g = build_group(3, 6, 1)
+        assert g.order == 4374
+        f = zero_cocycle_catalog(g)[1]
+        x, y = 1000, 3001
+        assert not {x, y} & set(g.generators() + [g.identity])
+        table = f.table.copy()
+        table[[x, y]] = table[[y, x]]
+        with pytest.raises(InvalidAutomorphism):
+            FiniteAutomorphism(g, table)
 
     def test_shift_map(self):
         g = build_group(5, 4, 1)
@@ -174,14 +232,13 @@ class TestDescend:
         for idx in range(g.order):
             image = aut(g.element_to_group(idx))
             assert f(idx) == g.group_to_index(image)
-
-    def test_python_fallback_matches_vectorized(self, monkeypatch):
-        aut = finite_reidemeister_automorphism(5, 1)
-        reference = descend_automorphism(aut, build_group(5, 2, 1)).table
-        monkeypatch.setattr(finite, "TABLE_CAP", 0)
-        monkeypatch.setattr(finite, "EXHAUSTIVE_CAP", 0)
-        slow = descend_automorphism(aut, build_group(5, 2, 1))
-        assert np.array_equal(slow.table, reference)
+        # a larger model, on sampled elements
+        rng = random.Random(83)
+        g = build_group(7, 2, 2)
+        aut = finite_reidemeister_automorphism(7, 2)
+        f = descend_automorphism(aut, g)
+        for idx in rng.sample(range(g.order), 300):
+            assert f(idx) == g.group_to_index(aut(g.element_to_group(idx)))
 
 
 class TestTwistedClasses:
@@ -204,6 +261,22 @@ class TestTwistedClasses:
         g = build_group(2, 2, 2)
         f = zero_cocycle_catalog(g)[-1]
         assert twisted_classes(g, f).labels == twisted_classes_unionfind(g, f).labels
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_matches_references(self, model):
+        g = build_group(*model)
+        cayley, inverse = reference_cayley(g)
+        rng = random.Random(89)
+        for _ in range(50):
+            a, b = rng.randrange(g.order), rng.randrange(g.order)
+            assert cayley[a, b] == g.multiply(a, b) and inverse[a] == g.inverse(a)
+        catalog = zero_cocycle_catalog(g)
+        twists = [f.twisted_by(rng.randrange(g.order)) for f in rng.sample(catalog, 4)]
+        for f in catalog + twists:
+            fast = twisted_classes(g, f)
+            assert fast == all_h_classes(cayley, inverse, f)
+            if g.order <= 81:  # the literal union-find takes |G|^2 Python steps
+                assert fast == twisted_classes_unionfind(g, f)
 
     def test_doubling_has_two_classes(self):
         g = build_group(5, 2, 1)
