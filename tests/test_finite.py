@@ -27,6 +27,7 @@ from lamptwist import (
     zero_cocycle_catalog,
 )
 from lamptwist.finite import OracleCheck, TwistedClassPartition, projection_index_map
+from lamptwist.matrix import mat_vec
 
 # the acceptance gate's FINITE_MODELS plus (2, 2, 2)
 REFERENCE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2), (2, 2, 2))
@@ -69,6 +70,43 @@ def all_h_classes(cayley, inverse, aut):
     return TwistedClassPartition(
         labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
     )
+
+
+def python_descent_table(aut, group):
+    """Image table of a descended automorphism, one element at a time.
+
+    The elementwise loop that served as the descent for large models before
+    the vectorized path, kept as a reference: each lamp digit maps through the
+    reduced image of its point, then the cocycle correction and the reduced
+    shift are applied.
+    """
+    n, m, pcount = group.modulus, group.box, group.point_count
+
+    def reduce_vec(t):
+        vec = [0] * pcount
+        for p, c in t.items():
+            idx = group._point_index[tuple(x % m for x in p)]
+            vec[idx] = (vec[idx] + c) % n
+        return vec
+
+    u_rows = [reduce_vec(aut.origin_image.shifted(mat_vec(aut.matrix, p))) for p in group.points]
+    corr = [reduce_vec(aut.cocycle_value(p)) for p in group.points]
+    shift_map = [
+        group._point_index[tuple(c % m for c in mat_vec(aut.matrix, p))] for p in group.points
+    ]
+    table = np.empty(group.order, dtype=np.int32)
+    for idx in range(group.order):
+        coeffs, shift = group.decode(idx)
+        out = [0] * pcount
+        for slot, c in enumerate(coeffs):
+            if c:
+                row = u_rows[slot]
+                for tgt in range(pcount):
+                    out[tgt] = (out[tgt] + c * row[tgt]) % n
+        s = group._point_index[shift]
+        out = [(a + b) % n for a, b in zip(out, corr[s])]
+        table[idx] = group.encode(out, group.points[shift_map[s]])
+    return table
 
 
 class TestGroupModel:
@@ -239,6 +277,15 @@ class TestDescend:
         f = descend_automorphism(aut, g)
         for idx in rng.sample(range(g.order), 300):
             assert f(idx) == g.group_to_index(aut(g.element_to_group(idx)))
+
+    def test_python_fallback_matches_vectorized(self):
+        for model, aut in (
+            ((5, 2, 1), finite_reidemeister_automorphism(5, 1)),
+            ((7, 2, 2), finite_reidemeister_automorphism(7, 2)),  # above the former table cap
+        ):
+            g = build_group(*model)
+            fast = descend_automorphism(aut, g).table
+            assert np.array_equal(python_descent_table(aut, g), fast)
 
 
 class TestTwistedClasses:
