@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fileformat import SCHEMA_VERSION, check_schema
+from .fileformat import SCHEMA_VERSION, SchemaError, check_schema
 from .group import GroupElement, GroupParams, IncompatibleParams, Point, Torsion
 from .matrix import (
     as_matrix,
@@ -437,5 +437,7 @@ def automorphism_from_dict(data: dict) -> WreathAutomorphism:
             raise ValueError(f"cocycle must list {rank} torsion elements")
         cocycle = tuple(_torsion_from_list(entry, modulus, rank) for entry in cocycle_data)
     except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r} in automorphism data") from exc
+        raise SchemaError(f"missing field {exc.args[0]!r} in automorphism data") from exc
+    except TypeError as exc:
+        raise SchemaError(f"malformed automorphism data: {exc}") from exc
     return WreathAutomorphism(params, matrix, u, cocycle)

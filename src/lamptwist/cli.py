@@ -26,6 +26,7 @@ from .finite import (
     DescentError,
     build_group,
     descend_automorphism,
+    twisted_classes,
     verify_projection,
     verify_restriction_bound,
     verify_shift_invariance,
@@ -248,8 +249,9 @@ def _cmd_oracle(args) -> int:
         if "tbft" in checks:
             results.append(verify_tbft_finite(group, fin))
         if "shift" in checks:
+            base = twisted_classes(group, fin)
             for g in _shift_elements(group.order):
-                results.extend(verify_shift_invariance(group, fin, g))
+                results.extend(verify_shift_invariance(group, fin, g, base))
         if "restriction" in checks:
             results.extend(verify_restriction_bound(group, fin))
         if "projection" in checks:

@@ -483,10 +483,18 @@ def verify_tbft_finite(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> Ora
 
 
 def verify_shift_invariance(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, g: int
+    group: FiniteWreathGroup,
+    aut: FiniteAutomorphism,
+    g: int,
+    base: TwistedClassPartition | None = None,
 ) -> list[OracleCheck]:
-    """Count invariance under inner twists plus the class-level bijection."""
-    base = twisted_classes(group, aut)
+    """Count invariance under inner twists plus the class-level bijection.
+
+    `base` is the partition of `aut` itself; a caller checking many `g`
+    passes it in so that it is counted once.
+    """
+    if base is None:
+        base = twisted_classes(group, aut)
     twisted = twisted_classes(group, aut.twisted_by(g))
     params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
     checks = [

@@ -7,20 +7,23 @@ arbitrary-precision and fraction-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple(tuple(map(int, row)) for row in rows)
     if not mat or any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows must be nonempty and of equal length")
     return mat
 
 
 def identity(k: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    zeros = (0,) * k
+    return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(k))
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -28,16 +31,46 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact product by Kronecker substitution.
+
+    Each row of `b` is packed into one integer with a slot of `w` bits per
+    column, so an output row is a single sum of `row[j] * packed[j]` done in
+    big-integer arithmetic.  The slot holds any entry of the product with
+    room to spare (|entry| <= len(b) * max|a| * max|b| < 2**(w - 1)), so
+    the slots are read back exactly as balanced digits.
+    """
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    cols = len(b[0]) if b else 0
+    bound = max(map(abs, chain.from_iterable(a)), default=0)
+    bound *= max(map(abs, chain.from_iterable(b)), default=0)
+    w = (len(b) * bound).bit_length() + 1
+    packed = []
+    for row in b:
+        acc = 0
+        for x in reversed(row):
+            acc = (acc << w) + x
+        packed.append(acc)
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    for row in a:
+        acc = sum(map(mul, row, packed))
+        digits = []
+        for _ in range(cols):
+            d = acc & mask
+            if d >= half:
+                d -= mask + 1
+            digits.append(d)
+            acc = (acc - d) >> w
+        out.append(tuple(digits))
+    return tuple(out)
 
 
 def mat_vec(m: IntMatrix, z: Sequence[int]) -> tuple[int, ...]:
     if len(m[0]) != len(z):
         raise ValueError("dimension mismatch")
-    return tuple(sum(r * c for r, c in zip(row, z)) for row in m)
+    return tuple(sum(map(mul, row, z)) for row in m)
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -159,49 +192,42 @@ def smith_normal_form(b: IntMatrix) -> SnfTriple:
 
     Returns SnfTriple(U, D, V) with U b V = D, |det U| = |det V| = 1, the
     diagonal nonnegative and each entry dividing the next.  Rectangular
-    input is allowed.  Pivots are chosen by minimal absolute value.
+    input is allowed.  Pivots are chosen by minimal absolute value, the
+    first such entry in row-major order.
     """
     b = as_matrix(b)
     m, n = len(b), len(b[0])
     a = [list(row) for row in b]
     u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
+    vt = [list(row) for row in identity(n)]  # V transposed: column ops act on rows
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    # Before step t, rows and columns < t of `a` are zero off the diagonal,
+    # so column operations only need to touch rows t and below.
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        for c in range(n):
-            a[i][c] += q * a[j][c]
-        for c in range(m):
-            u[i][c] += q * u[j][c]
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, q):
+    def add_col(t, i, j, q):
         # col_i += q * col_j
-        for row in a:
+        for r in range(t, m):
+            row = a[r]
             row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
+        vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
 
     def find_pivot(t):
         best = None
         for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+            row = a[i]
+            nonzero = [abs(x) for x in row[t:] if x]
+            if nonzero:
+                least = min(nonzero)
+                if best is None or least < best[0]:
+                    j = next(j for j in range(t, n) if abs(row[j]) == least)
+                    best = (least, i, j)
+                    if least == 1:
+                        break
         return best
 
     for t in range(min(m, n)):
@@ -211,9 +237,13 @@ def smith_normal_form(b: IntMatrix) -> SnfTriple:
                 break
             _, pi, pj = piv
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
+                u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                swap_cols(t, pj)
+                for r in range(t, m):
+                    row = a[r]
+                    row[t], row[pj] = row[pj], row[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
             # clear below and to the right of the pivot
             dirty = False
             for i in range(t + 1, m):
@@ -223,30 +253,27 @@ def smith_normal_form(b: IntMatrix) -> SnfTriple:
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    add_col(t, j, t, -(a[t][j] // a[t][t]))
                     if a[t][j]:
                         dirty = True
             if dirty:
                 continue
             # divisibility: the pivot must divide the remaining block
-            stray = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            p = a[t][t]
+            if p in (1, -1):
+                break
+            stray = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
             if stray is None:
                 break
             add_row(t, stray, 1)
-        if t < m and t < n and a[t][t] < 0:
-            negate_row(t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
 
     triple = SnfTriple(
         tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        transpose(vt),
     )
     if mat_mul(mat_mul(triple.u, b), triple.v) != triple.d:
         raise AssertionError("Smith normal form accumulator mismatch")

@@ -24,7 +24,7 @@ from .automorphism import (
     automorphism_from_dict,
     automorphism_to_dict,
 )
-from .fileformat import SCHEMA_VERSION, check_schema
+from .fileformat import SCHEMA_VERSION, SchemaError, check_schema
 from .group import GroupParams, Point, Torsion
 from .matrix import (
     IntMatrix,
@@ -222,13 +222,15 @@ def _box_preimage(aut: WreathAutomorphism, z, radius: int) -> Torsion | None:
     """
     n, k = aut.params.modulus, aut.params.rank
     target = Torsion.delta(n, k, z)
+    wanted = target.support
     for r in _box_schedule(radius, k):
         cells = itertools.product(range(-r, r + 1), repeat=k)
         support = sorted({pt for cell in cells for pt in (cell, tuple(a + b for a, b in zip(cell, z)))})
         columns = [restriction_difference(aut, Torsion.delta(n, k, pt)) for pt in support]
         eq_points = sorted({q for col in columns for q, _ in col.items()} | {tuple(z)})
-        rows = [[col.coeff(q) for col in columns] for q in eq_points]
-        rhs = [target.coeff(q) for q in eq_points]
+        coeffs = [col.support for col in columns]
+        rows = [[c.get(q, 0) for c in coeffs] for q in eq_points]
+        rhs = [wanted.get(q, 0) for q in eq_points]
         sol = solve_linear(rows, rhs, n)
         if sol is not None:
             sigma = Torsion(n, k, zip(support, sol))
@@ -510,31 +512,41 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
     from .automorphism import _torsion_from_list
 
     check_schema(data, kind=CERTIFICATE_KIND)
-    aut = automorphism_from_dict(data["automorphism"])
-    n, k = aut.params.modulus, aut.params.rank
-    status = data.get("status")
-    if status not in ("certified", "unknown"):
-        raise ValueError(f"bad certificate status {status!r}")
-    template = None
-    tdata = data.get("template")
-    if tdata is not None:
-        template = PreimageTemplate(
-            coeff=int(tdata["coeff"]),
-            offset=tuple(int(x) for x in tdata["point"]),
-            order=int(tdata["order"]),
-            inverses=tuple(sorted((int(t), int(v)) for t, v in tdata["inverses"].items())),
-        )
-    witnesses = {}
-    for entry in data.get("witnesses", []):
-        pt = tuple(int(x) for x in entry["point"])
-        witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
+    try:
+        aut = automorphism_from_dict(data["automorphism"])
+        n, k = aut.params.modulus, aut.params.rank
+        status = data.get("status")
+        if status not in ("certified", "unknown"):
+            raise ValueError(f"bad certificate status {status!r}")
+        template = None
+        tdata = data.get("template")
+        if tdata is not None:
+            template = PreimageTemplate(
+                coeff=int(tdata["coeff"]),
+                offset=tuple(int(x) for x in tdata["point"]),
+                order=int(tdata["order"]),
+                inverses=tuple(sorted((int(t), int(v)) for t, v in tdata["inverses"].items())),
+            )
+        witnesses = {}
+        for entry in data.get("witnesses", []):
+            pt = tuple(int(x) for x in entry["point"])
+            witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
+        radius = int(data.get("radius", DEFAULT_BOX_RADIUS))
+        notes = tuple(data.get("notes", ()))
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed certificate data: {exc}") from exc
+    # replay enumerates the divisors of the order, so only the true one is taken
+    if template is not None and template.order != matrix_order(aut.matrix):
+        raise SchemaError(f"template order {template.order} is not the order of the lattice map")
     return SurjectivityCertificate(
         automorphism=aut,
         certified=(status == "certified"),
         witnesses=witnesses,
-        radius=int(data.get("radius", DEFAULT_BOX_RADIUS)),
+        radius=radius,
         template=template,
-        notes=tuple(data.get("notes", ())),
+        notes=notes,
     )
 
 

@@ -163,6 +163,21 @@ class TestReidemeister:
             "reidemeister": "4",
         }
 
+    @pytest.mark.parametrize(
+        "name",
+        ["n7-k1", "n49-k1", "n49-k2", "n49-k2-no-witness", "n25-k3", "n35-k3"],
+    )
+    def test_box_solver_golden(self, capsys, tmp_path, name):
+        # byte-for-byte captures of stdout and the emitted certificate for
+        # verdicts whose witnesses come from the box solver; they must not change
+        with gzip.open(GOLDEN / f"reidemeister-box-{name}.json.gz", "rt", encoding="utf-8") as fh:
+            case = json.load(fh)
+        (tmp_path / "aut.json").write_text(case["automorphism"], encoding="utf-8")
+        for step in case["runs"]:
+            assert run(capsys, *step["argv"]) == (step["rc"], step["stdout"], step["stderr"])
+            if "--emit-certificate" in step["argv"]:
+                assert (tmp_path / "cert.json").read_text(encoding="utf-8") == case["certificate"]
+
 
 class TestVerify:
     def test_tampered_witness_rejected(self, capsys, tmp_path):
@@ -181,7 +196,48 @@ class TestVerify:
         assert code == 1 and "error:" in err
 
 
+def run_hostile(capsys, *argv):
+    """A hostile file must end in exit 1 with one `error:` line, and quickly."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+class TestHostileCertificate:
+    @pytest.fixture
+    def cert(self, capsys, tmp_path):
+        run(capsys, "construct", "5", "1")
+        run(capsys, "reidemeister", "automorphism-n5-k1.json", "--emit-certificate", "c.json")
+        return fileformat.load(tmp_path / "c.json")
+
+    def test_missing_template_coeff(self, capsys, tmp_path, cert):
+        del cert["template"]["coeff"]
+        fileformat.save(tmp_path / "c.json", cert)
+        assert "'coeff'" in run_hostile(capsys, "verify", "c.json")
+
+    def test_missing_automorphism(self, capsys, tmp_path, cert):
+        del cert["automorphism"]
+        fileformat.save(tmp_path / "c.json", cert)
+        assert "'automorphism'" in run_hostile(capsys, "verify", "c.json")
+
+    def test_huge_template_order_rejected_before_divisors(self, capsys, tmp_path, cert):
+        cert["template"]["order"] = 10**16
+        fileformat.save(tmp_path / "c.json", cert)
+        assert "template order" in run_hostile(capsys, "verify", "c.json")
+
+
 class TestValidate:
+    def test_integer_point_is_a_schema_error(self, capsys, tmp_path):
+        run(capsys, "construct", "5", "1")
+        data = fileformat.load(tmp_path / "automorphism-n5-k1.json")
+        data["u"][0]["point"] = 0
+        fileformat.save(tmp_path / "a.json", data)
+        assert "malformed" in run_hostile(capsys, "validate", "a.json")
+
     def test_valid_file(self, capsys):
         run(capsys, "construct", "5", "3")
         code, out, _ = run(capsys, "validate", "automorphism-n5-k3.json")

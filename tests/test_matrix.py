@@ -1,7 +1,13 @@
+import gzip
+import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import lamptwist.matrix as matrix_module
+from lamptwist import automorphism_from_dict, restriction_surjectivity
 from lamptwist.matrix import (
     as_matrix,
     det,
@@ -19,11 +25,134 @@ from lamptwist.matrix import (
 )
 
 BLOCK = ((0, 1), (-1, -1))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+# -- references: the former implementations, one Python step per term ----------
+
+
+def reference_mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def reference_smith_normal_form(b):
+    """The former elimination, step for step: full scans, V updated column-wise.
+
+    Its U b V = D self-check is left out; every triple it is compared with
+    comes from `smith_normal_form`, which runs that check itself.
+    """
+    b = as_matrix(b)
+    m, n = len(b), len(b[0])
+    a = [list(row) for row in b]
+    u = [list(row) for row in identity(m)]
+    v = [list(row) for row in identity(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def add_row(i, j, q):
+        for c in range(n):
+            a[i][c] += q * a[j][c]
+        for c in range(m):
+            u[i][c] += q * u[j][c]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(i, j, q):
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        return best
+
+    for t in range(min(m, n)):
+        while True:
+            piv = find_pivot(t)
+            if piv is None:
+                break
+            _, pi, pj = piv
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            stray = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t]:
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            add_row(t, stray, 1)
+        if t < m and t < n and a[t][t] < 0:
+            negate_row(t)
+
+    return (
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in a),
+        tuple(tuple(row) for row in v),
+    )
+
+
+def assert_same_as_reference(b):
+    triple = smith_normal_form(b)
+    assert (triple.u, triple.d, triple.v) == reference_smith_normal_form(b)
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**260), 2**260),
+)
+
+
+@st.composite
+def product_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 7)) for _ in range(3))
+    a = tuple(tuple(draw(ENTRIES) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(ENTRIES) for _ in range(cols)) for _ in range(inner))
+    return a, b
 
 
 class TestBasics:
     def test_identity_and_mul(self):
         m = ((1, 2), (3, 4))
+        assert identity(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert mat_mul(identity(2), m) == m
         assert mat_mul(m, identity(2)) == m
 
@@ -43,6 +172,32 @@ class TestBasics:
     def test_as_matrix_rejects_ragged(self):
         with pytest.raises(ValueError):
             as_matrix([[1, 2], [3]])
+
+
+class TestPackedProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands())
+    @example((((0,),), ((0,),)))
+    @example((((-5,),), ((7,),)))
+    @example((((0, 0), (0, 0), (0, 0)), ((0,), (0,))))
+    @example((((-(2**200), 2**200 - 1),), ((2**201, -1, 0), (-(2**203), 3, -1))))
+    def test_matches_reference(self, operands):
+        a, b = operands
+        assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+    def test_slot_boundary(self):
+        # every product entry at the extreme of its slot, both signs
+        for x in (1, 7, 2**64 - 1, 2**200):
+            for size in (1, 2, 5):
+                a = ((x,) * size, (-x,) * size)
+                b = tuple((x, -x, 0) for _ in range(size))
+                assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            mat_mul(((1, 2),), ((1, 2),))
+        with pytest.raises(ValueError):
+            mat_mul(((1,), (2,)), ((1, 2), (3, 4)))
 
 
 class TestDeterminant:
@@ -139,6 +294,49 @@ class TestSmithNormalForm:
             for x in diag:
                 prod *= x
             assert prod == abs(det(m))
+
+    def test_same_triple_as_reference_on_random_matrices(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            density = rng.random()
+            b = tuple(
+                tuple(rng.randint(-12, 12) if rng.random() < density else 0 for _ in range(cols))
+                for _ in range(rows)
+            )
+            assert_same_as_reference(b)
+
+    def test_same_triple_as_reference_on_box_solver_systems(self, monkeypatch):
+        # every system the box solver diagonalizes on one block of a seeded
+        # verdict corpus (22 automorphisms, ranks 1-3, moduli 5 to 49)
+        with gzip.open(GOLDEN / "box-solver-block.json.gz", "rt", encoding="utf-8") as fh:
+            block = json.load(fh)
+        systems = []
+        snf = matrix_module.smith_normal_form
+
+        def recording(b):
+            systems.append(b)
+            return snf(b)
+
+        monkeypatch.setattr(matrix_module, "smith_normal_form", recording)
+        for data in block:
+            restriction_surjectivity(automorphism_from_dict(data))
+        monkeypatch.undo()
+        assert (107, 56) in {(len(b), len(b[0])) for b in systems}
+        for b in systems:
+            assert_same_as_reference(b)
+
+    def test_self_check_detects_corrupted_triple(self, monkeypatch):
+        real = matrix_module.SnfTriple
+
+        def corrupted(u, d, v):
+            flipped = [list(row) for row in u]
+            flipped[0][-1] += 1
+            return real(tuple(map(tuple, flipped)), d, v)
+
+        monkeypatch.setattr(matrix_module, "SnfTriple", corrupted)
+        with pytest.raises(AssertionError, match="accumulator mismatch"):
+            smith_normal_form(((2, 4, 4), (-6, 6, 12), (10, 4, 16)))
 
     def test_transpose_consistency(self):
         m = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
