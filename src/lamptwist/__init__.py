@@ -63,30 +63,44 @@ from .reidemeister import (
     restriction_surjectivity,
     template_preimage,
 )
-from .finite import (
-    BudgetExceeded,
-    DescentError,
-    FiniteAutomorphism,
-    FiniteWreathGroup,
-    OracleCheck,
-    TwistedClassPartition,
-    build_group,
-    descend_automorphism,
-    fixed_conjugacy_classes,
-    identity_automorphism,
-    inner_twists,
-    twisted_classes,
-    twisted_classes_unionfind,
-    verify_projection,
-    verify_restriction_bound,
-    verify_shift_invariance,
-    verify_tbft_finite,
-    zero_cocycle_automorphisms,
-    zero_cocycle_catalog,
-)
 from .fileformat import SCHEMA_VERSION, SchemaError
 
 __version__ = "0.1.0"
+
+# The finite-model names load `finite`, and with it numpy, on first use (PEP 562),
+# so everything else starts without numpy.
+_FINITE_NAMES = frozenset(
+    {
+        "BudgetExceeded",
+        "DescentError",
+        "FiniteAutomorphism",
+        "FiniteWreathGroup",
+        "OracleCheck",
+        "TwistedClassPartition",
+        "build_group",
+        "descend_automorphism",
+        "fixed_conjugacy_classes",
+        "identity_automorphism",
+        "inner_twists",
+        "twisted_classes",
+        "twisted_classes_unionfind",
+        "verify_projection",
+        "verify_restriction_bound",
+        "verify_shift_invariance",
+        "verify_tbft_finite",
+        "zero_cocycle_automorphisms",
+        "zero_cocycle_catalog",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _FINITE_NAMES:
+        from . import finite
+
+        return getattr(finite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GroupParams",

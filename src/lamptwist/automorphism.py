@@ -216,12 +216,11 @@ class WreathAutomorphism:
             )
         consistent = True
         k = self.params.rank
+        images = tuple(zip(*self.matrix))  # M e_i is column i of M
         for i in range(k):
             for j in range(i + 1, k):
-                ei = _basis(k, i)
-                ej = _basis(k, j)
-                lhs = self.cocycle[i] + self.cocycle[j].shifted(mat_vec(self.matrix, ei))
-                rhs = self.cocycle[j] + self.cocycle[i].shifted(mat_vec(self.matrix, ej))
+                lhs = self.cocycle[i] + self.cocycle[j].shifted(images[i])
+                rhs = self.cocycle[j] + self.cocycle[i].shifted(images[j])
                 if lhs != rhs:
                     consistent = False
                     failures.append(f"cocycle values on axes {i} and {j} do not commute")

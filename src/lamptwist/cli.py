@@ -11,6 +11,7 @@ Exit codes: 0 definite success, 1 input error, 2 property violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -20,20 +21,6 @@ from .automorphism import (
     automorphism_from_dict,
     automorphism_to_dict,
 )
-from .finite import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    DescentError,
-    build_group,
-    descend_automorphism,
-    twisted_classes,
-    verify_projection,
-    verify_restriction_bound,
-    verify_shift_invariance,
-    verify_tbft_finite,
-    zero_cocycle_automorphisms,
-)
-from .fileformat import SchemaError
 from .reidemeister import (
     DEFAULT_BOX_RADIUS,
     certificate_from_dict,
@@ -219,6 +206,20 @@ def _shift_elements(order: int) -> list[int]:
 
 
 def _cmd_oracle(args) -> int:
+    # imported here: `finite` loads numpy, which no other subcommand needs
+    from .finite import (
+        DEFAULT_BUDGET,
+        build_group,
+        descend_automorphism,
+        twisted_classes,
+        verify_projection,
+        verify_restriction_bound,
+        verify_shift_invariance,
+        verify_tbft_finite,
+        zero_cocycle_automorphisms,
+    )
+
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
     for name in checks:
         if name not in ORACLE_CHECKS:
@@ -229,7 +230,7 @@ def _cmd_oracle(args) -> int:
         if args.divisor < 2 or args.n % args.divisor:
             raise ValueError(f"divisor {args.divisor} must be a nontrivial divisor of {args.n}")
 
-    group = build_group(args.n, args.m, args.k, budget=args.budget)
+    group = build_group(args.n, args.m, args.k, budget=budget)
     if args.aut:
         sources = [_load_automorphism(args.aut)]
     else:
@@ -255,7 +256,7 @@ def _cmd_oracle(args) -> int:
         if "restriction" in checks:
             results.extend(verify_restriction_bound(group, fin))
         if "projection" in checks:
-            small = build_group(args.divisor, args.m, args.k, budget=args.budget)
+            small = build_group(args.divisor, args.m, args.k, budget=budget)
             small_fin = descend_automorphism(aut.induce(args.divisor), small)
             results.extend(verify_projection(group, small, fin, small_fin))
 
@@ -282,6 +283,7 @@ def _cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamptwist",
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--check", default="tbft", help="comma list: tbft,shift,projection,restriction")
     p.add_argument("--divisor", type=int, help="small modulus for projection checks")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--aut", help="automorphism file to descend instead of the catalog")
     add_format(p)
     p.set_defaults(func=_cmd_oracle)
@@ -347,14 +349,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args)
-    except (
-        ValueError,
-        SchemaError,
-        InvalidAutomorphism,
-        BudgetExceeded,
-        DescentError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every bad-input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

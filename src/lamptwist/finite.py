@@ -34,11 +34,11 @@ from .automorphism import WreathAutomorphism, InvalidAutomorphism
 DEFAULT_BUDGET = 10**6
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """A finite-model computation would overrun its configured budget."""
 
 
-class DescentError(RuntimeError):
+class DescentError(ValueError):
     """An automorphism does not descend to the requested truncation."""
 
 

@@ -1,6 +1,9 @@
 import gzip
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -247,6 +250,15 @@ class TestValidate:
         assert "cocycle_consistent = true" in out
         assert out.rstrip().endswith("valid")
 
+    def test_large_rank_is_fast(self, capsys, tmp_path):
+        # the cocycle check compares every pair of axes; rank 150 has 11175 pairs
+        aut = WreathAutomorphism.identity(GroupParams(5, 150))
+        fileformat.save(tmp_path / "rank150.json", automorphism_to_dict(aut))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", "rank150.json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and out.rstrip().endswith("\nvalid")
+
     def test_invalid_file(self, capsys, tmp_path):
         data = automorphism_to_dict(
             WreathAutomorphism(GroupParams(6, 1), ((-1,),), Torsion.delta(6, 1, (0,), 2))
@@ -325,6 +337,22 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "7", "3", "2", "--budget", "100")
         assert code == 1 and "budget" in err
 
+    def test_default_budget(self, capsys):
+        code, _, err = run(capsys, "oracle", "7", "3", "2")
+        assert code == 1 and err.endswith("exceeds budget 1000000\n")
+
+    def test_cocycle_obstruction_is_one_error_line(self, capsys, tmp_path):
+        # the cocycle of tests/test_finite.py::TestDescend::test_cocycle_obstruction
+        aut = WreathAutomorphism(
+            GroupParams(3, 1),
+            ((1,),),
+            Torsion.delta(3, 1, (0,)),
+            [Torsion.delta(3, 1, (0,))],
+        )
+        fileformat.save(tmp_path / "obstructed.json", automorphism_to_dict(aut))
+        line = run_hostile(capsys, "oracle", "3", "2", "1", "--aut", "obstructed.json")
+        assert "cocycle obstruction" in line
+
     def test_huge_box_refused_before_enumeration(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "oracle", "3", "1000", "10")
@@ -354,7 +382,7 @@ class TestOracle:
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
-        monkeypatch.setattr(cli, "verify_tbft_finite", lambda g, f: broken)
+        monkeypatch.setattr("lamptwist.finite.verify_tbft_finite", lambda g, f: broken)
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
         assert code == 2
         assert "oracle: 0 pass, 4 fail" in out
@@ -377,3 +405,92 @@ class TestHarness:
         a = run(capsys, "reidemeister", "automorphism-n9-k2.json", "--format", "json")
         b = run(capsys, "reidemeister", "automorphism-n9-k2.json", "--format", "json")
         assert a == b
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        argvs = [
+            ["classify", "5", "2", "--no-write"],
+            ["construct", "5", "1"],
+            ["classify", "x", "1"],
+            ["oracle", "--help"],
+            ["--help"],
+            ["--help"],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in argvs]
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
+
+
+NUMPY_FREE_SCRIPT = """
+import json, sys
+import lamptwist.cli as cli
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded.append([argv[0], code, "numpy" in sys.modules, "lamptwist.finite" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+LAZY_NAMES_SCRIPT = """
+import json, sys
+import lamptwist
+
+lazy = [name for name in lamptwist.__all__ if name not in vars(lamptwist)]
+before = "numpy" in sys.modules
+from lamptwist import twisted_classes, BudgetExceeded, DescentError
+import lamptwist.finite
+
+print(json.dumps({
+    "numpy_before": before,
+    "lazy": lazy,
+    "same": all(getattr(lamptwist, name) is getattr(lamptwist.finite, name) for name in lazy),
+    "resolves": all(hasattr(lamptwist, name) for name in lamptwist.__all__),
+    "input_errors": [issubclass(e, ValueError) for e in (BudgetExceeded, DescentError)],
+}))
+"""
+
+
+def run_fresh(cwd, script, *args):
+    """Run `script` in a fresh interpreter that imports this checkout of lamptwist."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, cwd=cwd, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    def test_only_oracle_loads_numpy(self, tmp_path):
+        argvs = [
+            ["classify", "5", "1", "--out", "a.json"],
+            ["construct", "5", "2", "--out", "b.json"],
+            ["reidemeister", "b.json", "--emit-certificate", "c.json"],
+            ["verify", "c.json"],
+            ["validate", "a.json"],
+            ["oracle", "3", "2", "1"],
+        ]
+        loaded = run_fresh(tmp_path, NUMPY_FREE_SCRIPT, json.dumps(argvs))
+        assert loaded == [
+            ["classify", 0, False, False],
+            ["construct", 0, False, False],
+            ["reidemeister", 0, False, False],
+            ["verify", 0, False, False],
+            ["validate", 0, False, False],
+            ["oracle", 0, True, True],
+        ]
+
+    def test_finite_names_load_on_first_use(self, tmp_path):
+        got = run_fresh(tmp_path, LAZY_NAMES_SCRIPT)
+        assert got["numpy_before"] is False
+        assert {"twisted_classes", "BudgetExceeded", "DescentError"} <= set(got["lazy"])
+        assert got["same"] is True
+        assert got["resolves"] is True
+        assert got["input_errors"] == [True, True]
