@@ -236,29 +236,33 @@ def _cmd_oracle(args) -> int:
     else:
         sources = zero_cocycle_automorphisms(args.n, args.k, args.m)
 
-    descended = []
-    seen = set()
-    for aut in sources:
-        fin = descend_automorphism(aut, group)
-        key = fin.table.tobytes()
-        if key not in seen:
-            seen.add(key)
-            descended.append((aut, fin))
-
     results = []
-    for aut, fin in descended:
-        if "tbft" in checks:
-            results.append(verify_tbft_finite(group, fin))
-        if "shift" in checks:
-            base = twisted_classes(group, fin)
-            for g in _shift_elements(group.order):
-                results.extend(verify_shift_invariance(group, fin, g, base))
-        if "restriction" in checks:
-            results.extend(verify_restriction_bound(group, fin))
-        if "projection" in checks:
-            small = build_group(args.divisor, args.m, args.k, budget=budget)
-            small_fin = descend_automorphism(aut.induce(args.divisor), small)
-            results.extend(verify_projection(group, small, fin, small_fin))
+    try:
+        descended = []
+        seen = set()
+        for aut in sources:
+            fin = descend_automorphism(aut, group)
+            key = fin.table.tobytes()
+            if key not in seen:
+                seen.add(key)
+                descended.append((aut, fin))
+
+        for aut, fin in descended:
+            if "tbft" in checks:
+                results.append(verify_tbft_finite(group, fin))
+            if "shift" in checks:
+                base = twisted_classes(group, fin)
+                for g in _shift_elements(group.order):
+                    results.extend(verify_shift_invariance(group, fin, g, base))
+            if "restriction" in checks:
+                results.extend(verify_restriction_bound(group, fin))
+            if "projection" in checks:
+                small = build_group(args.divisor, args.m, args.k, budget=budget)
+                small_fin = descend_automorphism(aut.induce(args.divisor), small)
+                results.extend(verify_projection(group, small, fin, small_fin))
+    except MemoryError:
+        # a raised --budget admits models whose tables outgrow memory
+        raise ValueError(f"|G| = {group.order}: the finite model does not fit in memory") from None
 
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed

@@ -213,24 +213,41 @@ def _box_schedule(radius: int, k: int) -> list[int]:
     return sorted({min(r, cap) for r in radii})
 
 
-def _box_preimage(aut: WreathAutomorphism, z, radius: int) -> Torsion | None:
+def _box_column(aut: WreathAutomorphism, pt: Point) -> dict[Point, int]:
+    """(1 - restriction)(D[pt]) = D[pt] - sum of c * D[M pt + q] over (q, c) in u, mod n."""
+    n = aut.params.modulus
+    image = mat_vec(aut.matrix, pt)
+    col = {pt: 1}
+    for q, c in aut.origin_image.items():
+        x = tuple(a + b for a, b in zip(image, q))
+        col[x] = (col.get(x, 0) - c) % n
+    return {x: c for x, c in col.items() if c}
+
+
+def _box_preimage(aut: WreathAutomorphism, z, radius: int, columns: dict) -> Torsion | None:
     """Best-effort solve of (1 - restriction)(sigma) = generator at z on a box.
 
     The box is grown along a doubling schedule and its cell count is capped
     independently of `radius`, so a hopeless search stays cheap in higher
     ranks; rank-1 boxes are small enough that the radius is honored fully.
+    `columns` caches `_box_column` by support point across calls.
     """
     n, k = aut.params.modulus, aut.params.rank
     target = Torsion.delta(n, k, z)
-    wanted = target.support
     for r in _box_schedule(radius, k):
         cells = itertools.product(range(-r, r + 1), repeat=k)
         support = sorted({pt for cell in cells for pt in (cell, tuple(a + b for a, b in zip(cell, z)))})
-        columns = [restriction_difference(aut, Torsion.delta(n, k, pt)) for pt in support]
-        eq_points = sorted({q for col in columns for q, _ in col.items()} | {tuple(z)})
-        coeffs = [col.support for col in columns]
-        rows = [[c.get(q, 0) for c in coeffs] for q in eq_points]
-        rhs = [wanted.get(q, 0) for q in eq_points]
+        for pt in support:
+            if pt not in columns:
+                columns[pt] = _box_column(aut, pt)
+        eq_points = sorted({q for pt in support for q in columns[pt]} | {z})
+        index = {q: i for i, q in enumerate(eq_points)}
+        rows = [[0] * len(support) for _ in eq_points]
+        for j, pt in enumerate(support):
+            for q, c in columns[pt].items():
+                rows[index[q]][j] = c
+        rhs = [0] * len(eq_points)
+        rhs[index[z]] = 1
         sol = solve_linear(rows, rhs, n)
         if sol is not None:
             sigma = Torsion(n, k, zip(support, sol))
@@ -305,12 +322,13 @@ def restriction_surjectivity(
 
     witnesses: dict[Point, Torsion] = {}
     all_verified = True
+    columns: dict[Point, dict[Point, int]] = {}
     for z in test_points:
         sigma = None
         if template is not None:
             sigma = template_preimage(aut, template, z)
         if sigma is None:
-            sigma = _box_preimage(aut, z, radius)
+            sigma = _box_preimage(aut, z, radius, columns)
         if sigma is not None and restriction_difference(aut, sigma) == Torsion.delta(n, k, z):
             witnesses[z] = sigma
         else:

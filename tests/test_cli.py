@@ -259,6 +259,21 @@ class TestValidate:
         assert time.perf_counter() - start < 5.0
         assert code == 0 and out.rstrip().endswith("\nvalid")
 
+    def test_huge_prime_modulus_is_fast(self, capsys, tmp_path):
+        n = 10**18 + 3  # prime
+        aut = WreathAutomorphism(GroupParams(n, 1), ((-1,),), Torsion.delta(n, 1, (0,), 2))
+        fileformat.save(tmp_path / "prime.json", automorphism_to_dict(aut))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", "prime.json")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and out.rstrip().endswith("\nvalid")
+
+    def test_modulus_with_two_large_primes_is_refused(self, capsys, tmp_path):
+        n = (10**9 + 7) * (10**9 + 9)
+        aut = WreathAutomorphism(GroupParams(n, 1), ((-1,),), Torsion.delta(n, 1, (0,), 2))
+        fileformat.save(tmp_path / "semiprime.json", automorphism_to_dict(aut))
+        assert "cannot factor" in run_hostile(capsys, "validate", "semiprime.json")
+
     def test_invalid_file(self, capsys, tmp_path):
         data = automorphism_to_dict(
             WreathAutomorphism(GroupParams(6, 1), ((-1,),), Torsion.delta(6, 1, (0,), 2))
@@ -379,6 +394,14 @@ class TestOracle:
         assert code == 0 and err == ""
         with gzip.open(GOLDEN / f"oracle-{name}.{fmt}.gz", "rt", encoding="utf-8") as fh:
             assert out == fh.read()
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(group):
+            raise MemoryError
+
+        monkeypatch.setattr("lamptwist.finite.FiniteWreathGroup.ensure_tables", exhausted)
+        line = run_hostile(capsys, "oracle", "3", "2", "1")
+        assert "|G| = 18" in line and "memory" in line
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)

@@ -1,8 +1,46 @@
 import random
+from math import gcd
 
 import pytest
 
-from lamptwist.modular import crt, crt_pair, divisors, factorize, modinv, solve_linear
+import lamptwist.matrix as matrix_module
+import lamptwist.modular as modular
+from lamptwist.matrix import mat_vec, smith_normal_form
+from lamptwist.modular import (
+    _refute_mod_prime,
+    crt,
+    crt_pair,
+    divisors,
+    factorize,
+    modinv,
+    solve_linear,
+)
+
+
+def reference_solve_linear(a, b, modulus):
+    """The former solver: the Smith normal form decides every system."""
+    nrows = len(a)
+    if nrows == 0:
+        return []
+    ncols = len(a[0])
+    if ncols == 0:
+        return [] if all(bb % modulus == 0 for bb in b) else None
+    triple = smith_normal_form(a)
+    c = mat_vec(triple.u, tuple(b))
+    rank_bound = min(nrows, ncols)
+    y = [0] * ncols
+    for i in range(nrows):
+        d = triple.d[i][i] if i < rank_bound else 0
+        ci = c[i] % modulus
+        g = gcd(d, modulus)
+        if ci % g:
+            return None
+        if d:
+            reduced = modulus // g
+            if reduced > 1:
+                inv = pow((d // g) % reduced, -1, reduced)
+                y[i] = ((ci // g) * inv) % reduced
+    return [v % modulus for v in mat_vec(triple.v, tuple(y))]
 
 
 class TestFactorize:
@@ -14,6 +52,23 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_large_primes_are_tested_not_divided(self):
+        assert factorize(10**18 + 3) == {10**18 + 3: 1}
+        assert factorize(2 * (10**18 + 3)) == {2: 1, 10**18 + 3: 1}
+        assert factorize(97 * (10**6 + 3)) == {97: 1, 10**6 + 3: 1}
+
+    @pytest.mark.parametrize(
+        "n, why",
+        [
+            ((10**9 + 7) * (10**9 + 9), "composite"),
+            ((10**6 + 3) ** 2, "composite"),
+            (2**89 - 1, "too large"),  # prime, above the exact Miller-Rabin bound
+        ],
+    )
+    def test_refuses_cofactor_it_cannot_certify(self, n, why):
+        with pytest.raises(ValueError, match=why):
+            factorize(n)
 
     def test_reconstruction(self):
         rng = random.Random(3)
@@ -100,6 +155,54 @@ class TestSolveLinear:
                 for row, want in zip(a, b):
                     assert sum(r * x for r, x in zip(row, sol)) % m == want
         assert hits > 0  # some random systems must be unsolvable
+
+    def test_same_as_reference_on_random_systems(self):
+        rng = random.Random(23)
+        refuted = 0
+        for _ in range(400):
+            m = rng.choice([2, 4, 6, 9, 12, 27, 35, 45, 49, 343])
+            rows = rng.randrange(1, 6)
+            cols = rng.randrange(1, 6)
+            a = [[rng.choice([0, 0, rng.randrange(m)]) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.5:
+                x0 = [rng.randrange(m) for _ in range(cols)]
+                b = [sum(r * x for r, x in zip(row, x0)) % m for row in a]
+            else:
+                b = [rng.randrange(m) for _ in range(rows)]
+            refuted += any(_refute_mod_prime(a, b, p) for p in factorize(m))
+            assert solve_linear(a, b, m) == reference_solve_linear(a, b, m)
+        assert refuted > 50
+
+    def test_same_as_reference_on_box_solver_systems(self, box_solver_systems):
+        for a, b, m in box_solver_systems:
+            assert solve_linear(a, b, m) == reference_solve_linear(a, b, m)
+
+    def test_refutation_is_a_left_kernel_vector(self):
+        # x + y = 1 and 2x + 2y = 1 mod 6 fail mod 2 and mod 3
+        a, b = [[1, 1], [2, 2]], [1, 1]
+        assert _refute_mod_prime(a, b, 2) == [0, 1]  # the second row reads 0 = 1
+        assert _refute_mod_prime(a, b, 3) == [1, 1]  # the sum reads 0 = 2
+        assert _refute_mod_prime(a, [1, 2], 3) is None
+
+    def test_unsolvable_mod_prime_power_only_goes_through_snf(self, monkeypatch):
+        # x + y = 1 and x + y = 4 agree mod 3 but not mod 9
+        a, b = [[1, 1], [1, 1]], [1, 4]
+        assert _refute_mod_prime(a, b, 3) is None
+        calls = []
+        snf = matrix_module.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(matrix_module, "smith_normal_form", counting)
+        assert solve_linear(a, b, 9) is None
+        assert len(calls) == 1
+
+    def test_bogus_refutation_is_caught(self, monkeypatch):
+        monkeypatch.setattr(modular, "_refute_mod_prime", lambda a, b, p: [1] * len(a))
+        with pytest.raises(AssertionError, match="invalid refutation"):
+            solve_linear([[1, 0], [0, 1]], [1, 2], 5)
 
 
 class TestDivisors:
