@@ -221,6 +221,8 @@ def _cmd_oracle(args) -> int:
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
+    if not checks:
+        raise ValueError(f"no check given; choose from {', '.join(ORACLE_CHECKS)}")
     for name in checks:
         if name not in ORACLE_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(ORACLE_CHECKS)}")
@@ -248,18 +250,19 @@ def _cmd_oracle(args) -> int:
                 descended.append((aut, fin))
 
         for aut, fin in descended:
+            base = twisted_classes(group, fin)  # every check counts the classes of fin
             if "tbft" in checks:
-                results.append(verify_tbft_finite(group, fin))
+                results.append(verify_tbft_finite(group, fin, base))
             if "shift" in checks:
-                base = twisted_classes(group, fin)
-                for g in _shift_elements(group.order):
-                    results.extend(verify_shift_invariance(group, fin, g, base))
+                results.extend(
+                    verify_shift_invariance(group, fin, _shift_elements(group.order), base)
+                )
             if "restriction" in checks:
-                results.extend(verify_restriction_bound(group, fin))
+                results.extend(verify_restriction_bound(group, fin, base))
             if "projection" in checks:
                 small = build_group(args.divisor, args.m, args.k, budget=budget)
                 small_fin = descend_automorphism(aut.induce(args.divisor), small)
-                results.extend(verify_projection(group, small, fin, small_fin))
+                results.extend(verify_projection(group, small, fin, small_fin, base))
     except MemoryError:
         # a raised --budget admits models whose tables outgrow memory
         raise ValueError(f"|G| = {group.order}: the finite model does not fit in memory") from None

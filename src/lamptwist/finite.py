@@ -23,6 +23,7 @@ minimal element indices and class ids are their ranks.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,14 +357,46 @@ class TwistedClassPartition:
 
 def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
     """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
-    edges = group.translations([(s, group.inverse(aut(s))) for s in group.generators()])
-    minima = _orbit_minima(edges, group.order)
-    is_rep = minima == np.arange(group.order)
-    labels = (np.cumsum(is_rep) - 1)[minima]
-    reps = np.flatnonzero(is_rep)
-    return TwistedClassPartition(
-        labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
-    )
+    return _partitions(group, aut.table[None, :])[0]
+
+
+# nodes in the union graph of one batch of class counts
+_CHUNK_NODES = 4096
+
+
+def _chunks(group: FiniteWreathGroup, rows):
+    """Consecutive runs of `rows`, as many per run as fit _CHUNK_NODES, at least one."""
+    size = max(1, _CHUNK_NODES // group.order)
+    return [rows[i : i + size] for i in range(0, len(rows), size)]
+
+
+def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]:
+    """`twisted_classes` of every row of a stack of automorphism tables.
+
+    The rows of a chunk form one graph: row r's edge maps are offset by
+    r·|G|, so its orbits are the components in [r·|G|, (r+1)·|G|) and one
+    propagation finds the orbit minima of the whole chunk.  Each table is a
+    homomorphism, so f(s)^-1 is read off as f(s^-1).
+    """
+    order, gens = group.order, group.generators()
+    inverse_gens = [group.inverse(s) for s in gens]
+    out = []
+    for chunk in _chunks(group, tables):
+        images = np.asarray(chunk)[:, inverse_gens].tolist()
+        pairs = [(s, fs) for row in images for s, fs in zip(gens, row)]
+        offsets = np.arange(len(chunk), dtype=np.int64)[:, None] * order
+        edges = group.translations(pairs).reshape(len(chunk), len(gens), order) + offsets[:, None]
+        union = edges.swapaxes(0, 1).reshape(len(gens), -1)
+        for minima in _orbit_minima(union, union.shape[1]).reshape(len(chunk), order) - offsets:
+            is_rep = minima == np.arange(order)
+            labels = (np.cumsum(is_rep) - 1)[minima]
+            reps = np.flatnonzero(is_rep)
+            out.append(
+                TwistedClassPartition(
+                    labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
+                )
+            )
+    return out
 
 
 def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
@@ -469,9 +502,14 @@ def _model_params(group: FiniteWreathGroup, **extra) -> str:
     return ";".join(parts)
 
 
-def verify_tbft_finite(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> OracleCheck:
-    """Twisted-class count against automorphism-fixed ordinary classes."""
-    lhs = twisted_classes(group, aut).count
+def verify_tbft_finite(
+    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition | None = None
+) -> OracleCheck:
+    """Twisted-class count against automorphism-fixed ordinary classes.
+
+    `base` is the partition of `aut`, for a caller that already counted it.
+    """
+    lhs = (base or twisted_classes(group, aut)).count
     rhs = fixed_conjugacy_classes(group, aut)
     return OracleCheck(
         name="tbft",
@@ -485,33 +523,46 @@ def verify_tbft_finite(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> Ora
 def verify_shift_invariance(
     group: FiniteWreathGroup,
     aut: FiniteAutomorphism,
-    g: int,
+    elements: Iterable[int],
     base: TwistedClassPartition | None = None,
 ) -> list[OracleCheck]:
-    """Count invariance under inner twists plus the class-level bijection.
+    """Count invariance under the inner twists by `elements`, plus the class-level bijection.
 
-    `base` is the partition of `aut` itself; a caller checking many `g`
-    passes it in so that it is counted once.
+    Three checks per g, in the order of `elements`.  The twists by every g
+    and every g^-1 are counted once each, a chunk at a time; of a chunk's
+    partitions only the counts and the class-map figures are kept, so memory
+    stays that of one chunk.  `base` is the partition of `aut` itself.
     """
     if base is None:
         base = twisted_classes(group, aut)
-    twisted = twisted_classes(group, aut.twisted_by(g))
-    params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
-    checks = [
-        OracleCheck(
-            "shift-count", params, base.count == twisted.count, base.count, twisted.count
-        )
-    ]
-    # right translation by g must send classes of aut onto classes of the
-    # inverse twist, one to one
-    other = twisted_classes(group, aut.twisted_by(group.inverse(g)))
-    mapped = np.asarray(other.labels)[group.translations([(group.identity, g)])[0]]
-    pairs = np.unique(np.asarray(base.labels).astype(np.int64) * group.order + mapped)
-    checks.append(
-        OracleCheck("shift-classmap", params, len(pairs) == base.count, len(pairs), base.count)
-    )
-    onto = len(np.unique(mapped))
-    checks.append(OracleCheck("shift-onto", params, onto == other.count, onto, other.count))
+    elements = list(elements)
+    base_labels = np.asarray(base.labels, dtype=np.int64) * group.order
+    inverse = {g: group.inverse(g) for g in elements}
+    shifted_by = {h: g for g, h in inverse.items()}  # the g whose check needs the twist by h
+    inverse.update(shifted_by)  # now x -> x^-1 on every twist counted
+    counts, classmap = {}, {}
+    for chunk in _chunks(group, sorted(inverse)):
+        conjugations = group.translations([(h, inverse[h]) for h in chunk])
+        parts = dict(zip(chunk, _partitions(group, conjugations[:, aut.table])))
+        counts.update((h, part.count) for h, part in parts.items())
+        # right translation by g must send classes of aut onto classes of the
+        # inverse twist, one to one
+        moved = [shifted_by[h] for h in chunk if h in shifted_by]
+        if moved:
+            rights = group.translations([(group.identity, g) for g in moved])
+            for g, right in zip(moved, rights):
+                mapped = np.asarray(parts[inverse[g]].labels)[right]
+                classmap[g] = len(np.unique(base_labels + mapped)), len(np.unique(mapped))
+    checks = []
+    for g in elements:
+        params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
+        twisted, other = counts[g], counts[inverse[g]]
+        pairs, onto = classmap[g]
+        checks += [
+            OracleCheck("shift-count", params, base.count == twisted, base.count, twisted),
+            OracleCheck("shift-classmap", params, pairs == base.count, pairs, base.count),
+            OracleCheck("shift-onto", params, onto == other, onto, other),
+        ]
     return checks
 
 
@@ -529,13 +580,17 @@ def verify_projection(
     small: FiniteWreathGroup,
     aut_big: FiniteAutomorphism,
     aut_small: FiniteAutomorphism,
+    base: TwistedClassPartition | None = None,
 ) -> list[OracleCheck]:
-    """Projection compatibility: diagram, class map, and the count bound."""
+    """Projection compatibility: diagram, class map, and the count bound.
+
+    `base` is the partition of `aut_big`, for a caller that already counted it.
+    """
     pi = projection_index_map(big, small)
     params = _model_params(big, d=small.modulus, aut=aut_big.provenance or "anonymous")
     diagram_bad = int(np.count_nonzero(aut_small.table[pi] != pi[aut_big.table]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
-    part_big = twisted_classes(big, aut_big)
+    part_big = base or twisted_classes(big, aut_big)
     part_small = twisted_classes(small, aut_small)
     mapped = np.asarray(part_small.labels)[pi]
     pairs = np.unique(np.asarray(part_big.labels).astype(np.int64) * small.order + mapped)
@@ -578,8 +633,13 @@ def torsion_restriction_classes(group: FiniteWreathGroup, aut: FiniteAutomorphis
     return group.torsion_count // len(np.unique(chi))
 
 
-def verify_restriction_bound(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> list[OracleCheck]:
-    """R(restriction) <= R(full map) * fixed points of the shift quotient map."""
+def verify_restriction_bound(
+    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition | None = None
+) -> list[OracleCheck]:
+    """R(restriction) <= R(full map) * fixed points of the shift quotient map.
+
+    `base` is the partition of `aut`, for a caller that already counted it.
+    """
     params = _model_params(group, aut=aut.provenance or "anonymous")
     pcount = group.point_count
     tidx = np.arange(group.torsion_count, dtype=np.int64) * pcount
@@ -590,7 +650,7 @@ def verify_restriction_bound(group: FiniteWreathGroup, aut: FiniteAutomorphism) 
     if preserved_bad:
         return checks
     restricted = torsion_restriction_classes(group, aut)
-    full = twisted_classes(group, aut).count
+    full = (base or twisted_classes(group, aut)).count
     sbar = aut.shift_map()
     fixed = int(np.count_nonzero(sbar == np.arange(pcount)))
     bound = full * fixed

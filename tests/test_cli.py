@@ -315,6 +315,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "3", "2", "1", "--check", "bogus")
         assert code == 1 and "unknown check" in err
 
+    @pytest.mark.parametrize("check", [",", "", " , "])
+    def test_empty_check_list(self, capsys, check):
+        # a run that checks nothing must not report success
+        line = run_hostile(capsys, "oracle", "3", "2", "1", "--check", check)
+        assert line.startswith("error: no check given")
+
     def test_projection(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "15", "2", "1", "--check", "projection", "--divisor", "5"
@@ -408,7 +414,9 @@ class TestOracle:
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
-        monkeypatch.setattr("lamptwist.finite.verify_tbft_finite", lambda g, f: broken)
+        monkeypatch.setattr(
+            "lamptwist.finite.verify_tbft_finite", lambda g, f, base=None: broken
+        )
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
         assert code == 2
         assert "oracle: 0 pass, 4 fail" in out

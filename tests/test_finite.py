@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+import lamptwist.cli as cli
+import lamptwist.finite as finite
 from lamptwist import (
     BudgetExceeded,
     DescentError,
@@ -31,6 +33,7 @@ from lamptwist.matrix import mat_vec
 
 # the acceptance gate's FINITE_MODELS plus (2, 2, 2)
 REFERENCE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2), (2, 2, 2))
+BATCH_MODELS = ((3, 2, 1), (2, 2, 2), (3, 2, 2))
 
 
 def reference_cayley(group):
@@ -346,6 +349,54 @@ class TestTwistedClasses:
         assert fixed_conjugacy_classes(g, identity_automorphism(g)) == 9
 
 
+def batch_automorphisms(group):
+    """The catalog of a model plus three seeded inner twists of each entry."""
+    rng = random.Random(97)
+    catalog = zero_cocycle_catalog(group)
+    return catalog + [f.twisted_by(rng.randrange(group.order)) for f in catalog for _ in range(3)]
+
+
+def chunk_bounds(group, rows):
+    """Node bounds for `finite._CHUNK_NODES`: one node, |G| + 1 (one row a
+    chunk either way), and whole rows in a count that does not divide `rows`."""
+    per_chunk = next(r for r in range(2, rows) if rows % r)
+    return {"one-node": 1, "order-plus-one": group.order + 1, "ragged": per_chunk * group.order}
+
+
+class TestBatchedPartitions:
+    @pytest.mark.parametrize("model", BATCH_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_rows_match_single_counts_and_reference(self, model):
+        g = build_group(*model)
+        auts = batch_automorphisms(g)
+        batch = finite._partitions(g, np.stack([f.table for f in auts]))
+        assert len(batch) == len(auts)
+        cayley, inverse = reference_cayley(g)
+        for f, part in zip(auts, batch):
+            assert part == twisted_classes(g, f)
+            assert part == all_h_classes(cayley, inverse, f)
+
+    @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
+    @pytest.mark.parametrize("model", BATCH_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_chunk_bound_does_not_change_partitions(self, monkeypatch, model, bound):
+        g = build_group(*model)
+        tables = np.stack([f.table for f in batch_automorphisms(g)])
+        expected = finite._partitions(g, tables)
+        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, len(tables))[bound])
+        assert finite._partitions(g, tables) == expected
+
+    @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
+    def test_chunk_bound_does_not_change_shift_output(self, capsys, monkeypatch, bound):
+        argv = ["oracle", "3", "2", "2", "--check", "shift"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr()
+        g = build_group(3, 2, 2)
+        samples = cli._shift_elements(g.order)
+        rows = len(set(samples) | {g.inverse(x) for x in samples})
+        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, rows)[bound])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == expected
+
+
 class TestOracleChecks:
     def test_check_line_format(self):
         chk = OracleCheck("tbft", "n=3;m=2;k=1", True, 9, 9)
@@ -379,9 +430,10 @@ class TestOracleChecks:
     def test_shift_invariance(self):
         g = build_group(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        for a in range(g.order):
-            for chk in verify_shift_invariance(g, f, a):
-                assert chk.passed, chk.line()
+        checks = verify_shift_invariance(g, f, range(g.order))
+        assert len(checks) == 3 * g.order == 150
+        for chk in checks:
+            assert chk.passed, chk.line()
 
     def test_projection(self):
         big = build_group(15, 2, 1)
