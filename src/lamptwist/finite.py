@@ -15,7 +15,9 @@ Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
 That is a genuine group action, so its orbits are already the connected
 components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
 are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
-per round.  A literal union-find over every pair (h, x) is kept alongside for
+per round.  Many automorphisms of one model are counted in one propagation
+over the disjoint union of their graphs, a bounded chunk at a time.  A
+literal union-find over every pair (h, x) is kept alongside for
 cross-checking.  Everything here is deterministic: representatives are
 minimal element indices and class ids are their ranks.
 """
@@ -382,12 +384,15 @@ def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]
     inverse_gens = [group.inverse(s) for s in gens]
     out = []
     for chunk in _chunks(group, tables):
-        images = np.asarray(chunk)[:, inverse_gens].tolist()
-        pairs = [(s, fs) for row in images for s, fs in zip(gens, row)]
-        offsets = np.arange(len(chunk), dtype=np.int64)[:, None] * order
-        edges = group.translations(pairs).reshape(len(chunk), len(gens), order) + offsets[:, None]
+        rows = len(chunk)
+        pairs = [(s, fs) for row in chunk[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
+        offsets = np.arange(0, rows * order, order, dtype=np.int64)
+        edges = group.translations(pairs).reshape(rows, len(gens), order)
+        edges += offsets[:, None, None]
         union = edges.swapaxes(0, 1).reshape(len(gens), -1)
-        for minima in _orbit_minima(union, union.shape[1]).reshape(len(chunk), order) - offsets:
+        all_minima = _orbit_minima(union, rows * order).reshape(rows, order)
+        all_minima -= offsets[:, None]
+        for minima in all_minima:
             is_rep = minima == np.arange(order)
             labels = (np.cumsum(is_rep) - 1)[minima]
             reps = np.flatnonzero(is_rep)
@@ -536,23 +541,17 @@ def verify_shift_invariance(
     if base is None:
         base = twisted_classes(group, aut)
     elements = list(elements)
-    base_labels = np.asarray(base.labels, dtype=np.int64) * group.order
     inverse = {g: group.inverse(g) for g in elements}
     shifted_by = {h: g for g, h in inverse.items()}  # the g whose check needs the twist by h
     inverse.update(shifted_by)  # now x -> x^-1 on every twist counted
     counts, classmap = {}, {}
     for chunk in _chunks(group, sorted(inverse)):
-        conjugations = group.translations([(h, inverse[h]) for h in chunk])
-        parts = dict(zip(chunk, _partitions(group, conjugations[:, aut.table])))
+        twists = group.translations([(h, inverse[h]) for h in chunk])[:, aut.table]
+        parts = dict(zip(chunk, _partitions(group, twists)))
         counts.update((h, part.count) for h, part in parts.items())
-        # right translation by g must send classes of aut onto classes of the
-        # inverse twist, one to one
-        moved = [shifted_by[h] for h in chunk if h in shifted_by]
-        if moved:
-            rights = group.translations([(group.identity, g) for g in moved])
-            for g, right in zip(moved, rights):
-                mapped = np.asarray(parts[inverse[g]].labels)[right]
-                classmap[g] = len(np.unique(base_labels + mapped)), len(np.unique(mapped))
+        moved = {shifted_by[h]: part for h, part in parts.items() if h in shifted_by}
+        classmap.update(_class_maps(group, base, moved))
+        del twists, parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
         params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
@@ -564,6 +563,26 @@ def verify_shift_invariance(
             OracleCheck("shift-onto", params, onto == other, onto, other),
         ]
     return checks
+
+
+def _class_maps(
+    group: FiniteWreathGroup, base: TwistedClassPartition, parts: dict
+) -> dict[int, tuple[int, int]]:
+    """Right translation by g against the classes, for each g -> partition P of the twist by g^-1.
+
+    Right translation by g must send the classes of `base` onto those of P,
+    one to one.  Returns the number of distinct (base class of x, P class of
+    x g) pairs and the number of P classes hit, for each g.
+    """
+    if not parts:
+        return {}
+    base_labels = np.asarray(base.labels, dtype=np.int64) * group.order
+    rights = group.translations([(group.identity, g) for g in parts])
+    figures = {}
+    for (g, part), right in zip(parts.items(), rights):
+        mapped = np.asarray(part.labels)[right]
+        figures[g] = len(np.unique(base_labels + mapped)), len(np.unique(mapped))
+    return figures
 
 
 def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np.ndarray:
