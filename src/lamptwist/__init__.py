@@ -11,9 +11,7 @@ from .group import (
     GroupParams,
     IncompatibleParams,
     Torsion,
-    alpha_shift,
     project_element,
-    project_torsion,
     twisted_conjugate,
 )
 from .matrix import (
@@ -25,7 +23,6 @@ from .matrix import (
     mat_vec,
     matrix_order,
     random_unimodular,
-    smith_normal_form,
 )
 from .automorphism import (
     InvalidAutomorphism,
@@ -35,10 +32,8 @@ from .automorphism import (
     automorphism_to_dict,
     group_ring_inverse,
     inner,
-    inverse_in_box,
     is_group_ring_unit,
     twist,
-    unit_check,
 )
 from .reidemeister import (
     INFINITE,
@@ -55,7 +50,6 @@ from .reidemeister import (
     crt_lift_preimage,
     default_test_points,
     finite_reidemeister_automorphism,
-    matrix_fixed_points_mod,
     reidemeister_abelian,
     reidemeister_number,
     replay_certificate,
@@ -83,7 +77,6 @@ _FINITE_NAMES = frozenset(
         "identity_automorphism",
         "inner_twists",
         "twisted_classes",
-        "twisted_classes_unionfind",
         "verify_projection",
         "verify_restriction_bound",
         "verify_shift_invariance",
@@ -107,9 +100,7 @@ __all__ = [
     "GroupElement",
     "Torsion",
     "IncompatibleParams",
-    "alpha_shift",
     "twisted_conjugate",
-    "project_torsion",
     "project_element",
     "identity",
     "det",
@@ -119,23 +110,19 @@ __all__ = [
     "mat_vec",
     "matrix_order",
     "random_unimodular",
-    "smith_normal_form",
     "WreathAutomorphism",
     "ValidationReport",
     "InvalidAutomorphism",
     "inner",
     "twist",
-    "unit_check",
     "is_group_ring_unit",
     "group_ring_inverse",
-    "inverse_in_box",
     "automorphism_to_dict",
     "automorphism_from_dict",
     "ExtNat",
     "INFINITE",
     "reidemeister_abelian",
     "count_fixed_lattice_characters",
-    "matrix_fixed_points_mod",
     "restriction_surjectivity",
     "restriction_difference",
     "template_preimage",
@@ -162,7 +149,6 @@ __all__ = [
     "descend_automorphism",
     "identity_automorphism",
     "twisted_classes",
-    "twisted_classes_unionfind",
     "fixed_conjugacy_classes",
     "inner_twists",
     "verify_tbft_finite",

@@ -17,9 +17,7 @@ shifts through the crossed-homomorphism identity
 Unit detection reduces the origin image modulo every prime dividing n and
 asks for single-point support (group rings of ordered groups over fields
 have only trivial units; units lift through nilpotents).  Explicit
-inverses are produced by prime-power Hensel lifting and verified exactly;
-`inverse_in_box` is an independent bounded linear-solve oracle used to
-cross-check the criterion.
+inverses are produced by prime-power Hensel lifting and verified exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fileformat import SCHEMA_VERSION, SchemaError, check_schema
-from .group import GroupElement, GroupParams, IncompatibleParams, Point, Torsion
+from .group import GroupElement, GroupParams, IncompatibleParams, Torsion
 from .matrix import (
     as_matrix,
     det,
@@ -37,9 +35,7 @@ from .matrix import (
     mat_mul,
     mat_vec,
 )
-from .modular import crt, factorize, solve_linear
-
-DEFAULT_INVERSE_RADIUS = 8
+from .modular import crt, factorize
 
 
 class InvalidAutomorphism(ValueError):
@@ -53,10 +49,6 @@ def is_group_ring_unit(u: Torsion) -> bool:
         if len(reduced) != 1:
             return False
     return True
-
-
-def convolve(a: Torsion, b: Torsion) -> Torsion:
-    return a.convolve(b)
 
 
 def group_ring_inverse(u: Torsion) -> Torsion:
@@ -94,49 +86,6 @@ def group_ring_inverse(u: Torsion) -> Torsion:
     if not u.convolve(out) == Torsion.delta(n, k, (0,) * k):
         raise AssertionError("group-ring inverse failed exact verification")
     return out
-
-
-def inverse_in_box(u: Torsion, radius: int = DEFAULT_INVERSE_RADIUS) -> Torsion | None:
-    """Search the box |x|_inf <= radius for v with u * v = origin generator.
-
-    Independent of the unit criterion: sets up the convolution equations on
-    the box support and solves them modulo n.  Returns None when no inverse
-    supported in the box exists.
-    """
-    n, k = u.modulus, u.rank
-    if u.is_zero():
-        return None
-    box: list[Point] = []
-
-    def fill(prefix):
-        if len(prefix) == k:
-            box.append(tuple(prefix))
-            return
-        for c in range(-radius, radius + 1):
-            fill(prefix + [c])
-
-    fill([])
-    index = {pt: i for i, pt in enumerate(box)}
-    eq_points = sorted({tuple(a + b for a, b in zip(p, s)) for p, _ in u.items() for s in box})
-    origin = (0,) * k
-    rows = []
-    rhs = []
-    for x in eq_points:
-        row = [0] * len(box)
-        for p, c in u.items():
-            y = tuple(a - b for a, b in zip(x, p))
-            j = index.get(y)
-            if j is not None:
-                row[j] = (row[j] + c) % n
-        rows.append(row)
-        rhs.append(1 if x == origin else 0)
-    sol = solve_linear(rows, rhs, n)
-    if sol is None:
-        return None
-    v = Torsion(n, k, zip(box, sol))
-    if not u.convolve(v) == Torsion.delta(n, k, origin):
-        raise AssertionError("box solver returned a non-inverse")
-    return v
 
 
 @dataclass(frozen=True)
@@ -387,11 +336,6 @@ def inner(gamma: GroupElement) -> WreathAutomorphism:
 def twist(aut: WreathAutomorphism, gamma: GroupElement) -> WreathAutomorphism:
     """Inner twist: conjugation by gamma composed after aut."""
     return inner(gamma).compose(aut)
-
-
-def unit_check(u: Torsion) -> bool:
-    """Alias of is_group_ring_unit."""
-    return is_group_ring_unit(u)
 
 
 # -- serialization -----------------------------------------------------------

@@ -22,7 +22,6 @@ from .automorphism import (
     automorphism_to_dict,
 )
 from .reidemeister import (
-    DEFAULT_BOX_RADIUS,
     certificate_from_dict,
     certificate_to_dict,
     classify_r_infinity,
@@ -87,7 +86,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_construct(args) -> int:
     aut = finite_reidemeister_automorphism(args.n, args.k)
-    result = reidemeister_number(aut, radius=args.radius)
+    result = reidemeister_number(aut)
     path = args.out or _default_automorphism_path(args.n, args.k)
     fileformat.save(path, automorphism_to_dict(aut))
     if args.format == "json":
@@ -114,7 +113,7 @@ def _cmd_reidemeister(args) -> int:
     report = aut.validate()
     if not report.ok:
         raise InvalidAutomorphism("; ".join(report.failures))
-    result = reidemeister_number(aut, radius=args.radius)
+    result = reidemeister_number(aut)
     status = "skipped" if result.certificate is None else result.certificate.status
     if args.emit_certificate:
         if result.certificate is None:
@@ -313,13 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--out", help="output path (default automorphism-n<N>-k<K>.json)")
-    p.add_argument("--radius", type=int, default=DEFAULT_BOX_RADIUS)
     add_format(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("reidemeister", help="compute R for an automorphism file")
     p.add_argument("file")
-    p.add_argument("--radius", type=int, default=DEFAULT_BOX_RADIUS)
     p.add_argument("--emit-certificate", metavar="PATH")
     add_format(p)
     p.set_defaults(func=_cmd_reidemeister)

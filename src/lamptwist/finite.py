@@ -16,10 +16,9 @@ That is a genuine group action, so its orbits are already the connected
 components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
 are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
 per round.  Many automorphisms of one model are counted in one propagation
-over the disjoint union of their graphs, a bounded chunk at a time.  A
-literal union-find over every pair (h, x) is kept alongside for
-cross-checking.  Everything here is deterministic: representatives are
-minimal element indices and class ids are their ranks.
+over the disjoint union of their graphs, a bounded chunk at a time.
+Everything here is deterministic: representatives are minimal element
+indices and class ids are their ranks.
 """
 
 from __future__ import annotations
@@ -425,47 +424,6 @@ def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, before):
             return labels
-
-
-def twisted_classes_unionfind(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism
-) -> TwistedClassPartition:
-    """Reference implementation: union-find over all (h, g) pairs."""
-    order = group.order
-    parent = list(range(order))
-    size = [1] * order
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-
-    for h in range(order):
-        fh = aut(group.inverse(h))
-        for g in range(order):
-            union(g, group.multiply(group.multiply(h, g), fh))
-
-    mins: dict[int, int] = {}
-    for x in range(order):
-        r = find(x)
-        if r not in mins or x < mins[r]:
-            mins[r] = x
-    reps = sorted(mins.values())
-    rank = {rep: i for i, rep in enumerate(reps)}
-    labels = tuple(rank[mins[find(x)]] for x in range(order))
-    return TwistedClassPartition(labels=labels, reps=tuple(reps), count=len(reps))
 
 
 def fixed_conjugacy_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:

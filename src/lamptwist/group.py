@@ -239,24 +239,6 @@ class GroupElement:
 # -- operation-style entry points ------------------------------------------
 
 
-def alpha_shift(z: Iterable[int], torsion: Torsion) -> Torsion:
-    """Translation action of the lattice on torsion elements."""
-    return torsion.shifted(z)
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def project_torsion(torsion: Torsion, divisor: int) -> Torsion:
-    """Coefficient reduction Z_n -> Z_d on torsion elements."""
-    return torsion.project(divisor)
-
-
 def project_element(g: GroupElement, divisor: int) -> GroupElement:
     """Entire-group reduction: torsion coefficients mod d, shift untouched."""
     return GroupElement(g.torsion.project(divisor), g.shift)

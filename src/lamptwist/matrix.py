@@ -1,4 +1,4 @@
-"""Exact integer matrix helpers and the Smith normal form.
+"""Exact integer matrix helpers.
 
 Matrices are tuples of row tuples of Python ints; everything is
 arbitrary-precision and fraction-free.
@@ -6,8 +6,6 @@ arbitrary-precision and fraction-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,40 +29,10 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product by Kronecker substitution.
-
-    Each row of `b` is packed into one integer with a slot of `w` bits per
-    column, so an output row is a single sum of `row[j] * packed[j]` done in
-    big-integer arithmetic.  The slot holds any entry of the product with
-    room to spare (|entry| <= len(b) * max|a| * max|b| < 2**(w - 1)), so
-    the slots are read back exactly as balanced digits.
-    """
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    bound = max(map(abs, chain.from_iterable(a)), default=0)
-    bound *= max(map(abs, chain.from_iterable(b)), default=0)
-    w = (len(b) * bound).bit_length() + 1
-    packed = []
-    for row in b:
-        acc = 0
-        for x in reversed(row):
-            acc = (acc << w) + x
-        packed.append(acc)
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
-    out = []
-    for row in a:
-        acc = sum(map(mul, row, packed))
-        digits = []
-        for _ in range(cols):
-            d = acc & mask
-            if d >= half:
-                d -= mask + 1
-            digits.append(d)
-            acc = (acc - d) >> w
-        out.append(tuple(digits))
-    return tuple(out)
+    cols = transpose(b)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(m: IntMatrix, z: Sequence[int]) -> tuple[int, ...]:
@@ -75,10 +43,6 @@ def mat_vec(m: IntMatrix, z: Sequence[int]) -> tuple[int, ...]:
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def mat_pow(m: IntMatrix, e: int) -> IntMatrix:
@@ -173,108 +137,3 @@ def random_unimodular(rng, k: int, steps: int = 12, coeff_bound: int = 3) -> Int
             for c in range(k):
                 a[i][c] = -a[i][c]
     return tuple(tuple(row) for row in a)
-
-
-@dataclass(frozen=True)
-class SnfTriple:
-    """Factorization U @ B @ V = D with U, V unimodular and D diagonal."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    def diagonal(self) -> list[int]:
-        return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0])))]
-
-
-def smith_normal_form(b: IntMatrix) -> SnfTriple:
-    """Smith normal form over Z.
-
-    Returns SnfTriple(U, D, V) with U b V = D, |det U| = |det V| = 1, the
-    diagonal nonnegative and each entry dividing the next.  Rectangular
-    input is allowed.  Pivots are chosen by minimal absolute value, the
-    first such entry in row-major order.
-    """
-    b = as_matrix(b)
-    m, n = len(b), len(b[0])
-    a = [list(row) for row in b]
-    u = [list(row) for row in identity(m)]
-    vt = [list(row) for row in identity(n)]  # V transposed: column ops act on rows
-
-    # Before step t, rows and columns < t of `a` are zero off the diagonal,
-    # so column operations only need to touch rows t and below.
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(t, i, j, q):
-        # col_i += q * col_j
-        for r in range(t, m):
-            row = a[r]
-            row[i] += q * row[j]
-        vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            nonzero = [abs(x) for x in row[t:] if x]
-            if nonzero:
-                least = min(nonzero)
-                if best is None or least < best[0]:
-                    j = next(j for j in range(t, n) if abs(row[j]) == least)
-                    best = (least, i, j)
-                    if least == 1:
-                        break
-        return best
-
-    for t in range(min(m, n)):
-        while True:
-            piv = find_pivot(t)
-            if piv is None:
-                break
-            _, pi, pj = piv
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for r in range(t, m):
-                    row = a[r]
-                    row[t], row[pj] = row[pj], row[t]
-                vt[t], vt[pj] = vt[pj], vt[t]
-            # clear below and to the right of the pivot
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(t, j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: the pivot must divide the remaining block
-            p = a[t][t]
-            if p in (1, -1):
-                break
-            stray = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
-            if stray is None:
-                break
-            add_row(t, stray, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
-    triple = SnfTriple(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        transpose(vt),
-    )
-    if mat_mul(mat_mul(triple.u, b), triple.v) != triple.d:
-        raise AssertionError("Smith normal form accumulator mismatch")
-    return triple

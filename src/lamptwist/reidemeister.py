@@ -1,21 +1,21 @@
 """Reidemeister numbers for Z_n wr Z^k and the machinery behind them.
 
-The pipeline: the lattice quotient count comes from the Smith normal form
-of (I - M); a surjectivity certificate for (1 - torsion restriction)
-upgrades that count to the full group when available; otherwise the result
-is reported as unknown (never silently promoted to infinite).
+The pipeline: the lattice quotient count is |det(I - M)|, infinite when
+that determinant vanishes; a surjectivity certificate for (1 - torsion
+restriction) upgrades that count to the full group when available;
+otherwise the result is reported as unknown (never silently promoted to
+infinite).
 
 Certificates are produced by an orbit-uniform argument that applies when
 the lattice matrix has finite order and the origin image is a single
 scaled generator: preimages of generators are supported on affine orbits
 and solve by geometric progressions whose denominators (1 - c^t) must be
-invertible for every orbit length t.  A bounded box solver provides
-best-effort witnesses outside that regime, but never certifies.
+invertible for every orbit length t.  Outside that regime the certificate
+is unknown, and its notes say why no template exists.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,6 +29,7 @@ from .group import GroupParams, Point, Torsion
 from .matrix import (
     IntMatrix,
     as_matrix,
+    det,
     identity as identity_matrix,
     is_unimodular,
     mat_mul,
@@ -36,13 +37,10 @@ from .matrix import (
     mat_sub,
     mat_vec,
     matrix_order,
-    smith_normal_form,
-    transpose,
 )
-from .modular import crt, divisors, factorize, modinv, solve_linear
+from .modular import crt, divisors, factorize, modinv
 
 CERTIFICATE_KIND = "surjectivity-certificate"
-DEFAULT_BOX_RADIUS = 8
 
 
 @dataclass(frozen=True)
@@ -72,45 +70,24 @@ INFINITE = ExtNat(None)
 
 
 def reidemeister_abelian(matrix: IntMatrix) -> ExtNat:
-    """Twisted-class count of a unimodular lattice map: index of Im(1 - M)."""
+    """Twisted-class count of a unimodular lattice map: index of Im(1 - M).
+
+    The index is the product of the Smith diagonal of I - M, that is
+    |det(I - M)|, and infinite when the determinant vanishes.
+    """
     matrix = as_matrix(matrix)
     if not is_unimodular(matrix):
         raise ValueError("lattice map must be unimodular")
-    diag = smith_normal_form(mat_sub(identity_matrix(len(matrix)), matrix)).diagonal()
-    if any(d == 0 for d in diag):
-        return INFINITE
-    out = 1
-    for d in diag:
-        out *= d
-    return ExtNat(out)
+    d = det(mat_sub(identity_matrix(len(matrix)), matrix))
+    return ExtNat(abs(d)) if d else INFINITE
 
 
 def count_fixed_lattice_characters(matrix: IntMatrix) -> ExtNat:
-    """Characters of Z^k fixed by precomposition: solutions of (M^T - I)x in Z^k."""
-    matrix = as_matrix(matrix)
-    if not is_unimodular(matrix):
-        raise ValueError("lattice map must be unimodular")
-    diag = smith_normal_form(
-        mat_sub(transpose(matrix), identity_matrix(len(matrix)))
-    ).diagonal()
-    if any(d == 0 for d in diag):
-        return INFINITE
-    out = 1
-    for d in diag:
-        out *= abs(d)
-    return ExtNat(out)
+    """Characters of Z^k fixed by precomposition: solutions of (M^T - I)x in Z^k.
 
-
-def matrix_fixed_points_mod(matrix: IntMatrix, box: int) -> int:
-    """Number of z in (Z/box)^k with M z = z, via the Smith form of M - I."""
-    matrix = as_matrix(matrix)
-    if box < 1:
-        raise ValueError(f"box must be at least 1, got {box}")
-    diag = smith_normal_form(mat_sub(matrix, identity_matrix(len(matrix)))).diagonal()
-    out = 1
-    for d in diag:
-        out *= gcd(d, box) if d else box
-    return out
+    det(M^T - I) = +-det(I - M), so the count is the lattice twisted-class count.
+    """
+    return reidemeister_abelian(matrix)
 
 
 # -- surjectivity certificates -------------------------------------------------
@@ -141,7 +118,6 @@ class SurjectivityCertificate:
     automorphism: WreathAutomorphism
     certified: bool
     witnesses: dict[Point, Torsion]
-    radius: int
     template: PreimageTemplate | None = None
     notes: tuple[str, ...] = ()
 
@@ -196,66 +172,6 @@ def template_preimage(aut: WreathAutomorphism, template: PreimageTemplate, z) ->
     return Torsion(n, k, items)
 
 
-BOX_CELL_CAP = 50  # bounds solver cost; a box never exceeds this many cells
-
-
-def _box_schedule(radius: int, k: int) -> list[int]:
-    """Radii to try: doubling steps up to `radius`, clamped by the cell cap."""
-    cap = 1
-    while (2 * (cap + 1) + 1) ** k <= BOX_CELL_CAP:
-        cap += 1
-    radii = []
-    r = 1
-    while r < radius:
-        radii.append(r)
-        r *= 2
-    radii.append(radius)
-    return sorted({min(r, cap) for r in radii})
-
-
-def _box_column(aut: WreathAutomorphism, pt: Point) -> dict[Point, int]:
-    """(1 - restriction)(D[pt]) = D[pt] - sum of c * D[M pt + q] over (q, c) in u, mod n."""
-    n = aut.params.modulus
-    image = mat_vec(aut.matrix, pt)
-    col = {pt: 1}
-    for q, c in aut.origin_image.items():
-        x = tuple(a + b for a, b in zip(image, q))
-        col[x] = (col.get(x, 0) - c) % n
-    return {x: c for x, c in col.items() if c}
-
-
-def _box_preimage(aut: WreathAutomorphism, z, radius: int, columns: dict) -> Torsion | None:
-    """Best-effort solve of (1 - restriction)(sigma) = generator at z on a box.
-
-    The box is grown along a doubling schedule and its cell count is capped
-    independently of `radius`, so a hopeless search stays cheap in higher
-    ranks; rank-1 boxes are small enough that the radius is honored fully.
-    `columns` caches `_box_column` by support point across calls.
-    """
-    n, k = aut.params.modulus, aut.params.rank
-    target = Torsion.delta(n, k, z)
-    for r in _box_schedule(radius, k):
-        cells = itertools.product(range(-r, r + 1), repeat=k)
-        support = sorted({pt for cell in cells for pt in (cell, tuple(a + b for a, b in zip(cell, z)))})
-        for pt in support:
-            if pt not in columns:
-                columns[pt] = _box_column(aut, pt)
-        eq_points = sorted({q for pt in support for q in columns[pt]} | {z})
-        index = {q: i for i, q in enumerate(eq_points)}
-        rows = [[0] * len(support) for _ in eq_points]
-        for j, pt in enumerate(support):
-            for q, c in columns[pt].items():
-                rows[index[q]][j] = c
-        rhs = [0] * len(eq_points)
-        rhs[index[z]] = 1
-        sol = solve_linear(rows, rhs, n)
-        if sol is not None:
-            sigma = Torsion(n, k, zip(support, sol))
-            if restriction_difference(aut, sigma) == target:
-                return sigma
-    return None
-
-
 def default_test_points(rank: int) -> list[Point]:
     pts = {(0,) * rank}
     for i in range(rank):
@@ -265,17 +181,13 @@ def default_test_points(rank: int) -> list[Point]:
     return sorted(pts)
 
 
-def restriction_surjectivity(
-    aut: WreathAutomorphism,
-    radius: int = DEFAULT_BOX_RADIUS,
-    test_points=None,
-) -> SurjectivityCertificate:
+def restriction_surjectivity(aut: WreathAutomorphism, test_points=None) -> SurjectivityCertificate:
     """Certificate that (1 - torsion restriction) hits every generator.
 
     Certified only under the orbit-uniform argument: finite-order lattice
     part, single-point origin image, and (1 - coeff^t) invertible for every
     divisor t of the orbit-map order.  Outside that regime the status is
-    unknown, with box-solved witnesses recorded when they exist.
+    unknown, the certificate holds no witnesses, and its notes say why.
     """
     aut._require_valid()
     n, k = aut.params.modulus, aut.params.rank
@@ -321,26 +233,19 @@ def restriction_surjectivity(
         notes.append("origin image has multi-point support; orbit template unavailable")
 
     witnesses: dict[Point, Torsion] = {}
-    all_verified = True
-    columns: dict[Point, dict[Point, int]] = {}
-    for z in test_points:
-        sigma = None
-        if template is not None:
+    if template is not None:
+        for z in test_points:
             sigma = template_preimage(aut, template, z)
-        if sigma is None:
-            sigma = _box_preimage(aut, z, radius, columns)
-        if sigma is not None and restriction_difference(aut, sigma) == Torsion.delta(n, k, z):
-            witnesses[z] = sigma
-        else:
-            all_verified = False
-            notes.append(f"no verified preimage for generator at {z}")
+            if sigma is not None and restriction_difference(aut, sigma) == Torsion.delta(n, k, z):
+                witnesses[z] = sigma
+            else:
+                notes.append(f"no verified preimage for generator at {z}")
 
-    certified = template is not None and all_verified and bool(witnesses)
+    certified = bool(witnesses) and all(z in witnesses for z in test_points)
     return SurjectivityCertificate(
         automorphism=aut,
         certified=certified,
         witnesses=witnesses,
-        radius=radius,
         template=template,
         notes=tuple(notes),
     )
@@ -477,11 +382,7 @@ class ReidemeisterResult:
         return "unknown" if self.value is None else str(self.value)
 
 
-def reidemeister_number(
-    aut: WreathAutomorphism,
-    radius: int = DEFAULT_BOX_RADIUS,
-    test_points=None,
-) -> ReidemeisterResult:
+def reidemeister_number(aut: WreathAutomorphism, test_points=None) -> ReidemeisterResult:
     """Full-group Reidemeister count.
 
     Infinite when the lattice quotient count is infinite; equal to the
@@ -491,7 +392,7 @@ def reidemeister_number(
     quotient = reidemeister_abelian(aut.matrix)
     if not quotient.is_finite:
         return ReidemeisterResult(quotient, None, INFINITE)
-    cert = restriction_surjectivity(aut, radius=radius, test_points=test_points)
+    cert = restriction_surjectivity(aut, test_points=test_points)
     if cert.certified:
         return ReidemeisterResult(quotient, cert, quotient)
     return ReidemeisterResult(quotient, cert, None)
@@ -516,7 +417,6 @@ def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
         "kind": CERTIFICATE_KIND,
         "automorphism": automorphism_to_dict(cert.automorphism),
         "status": cert.status,
-        "radius": cert.radius,
         "template": template,
         "witnesses": [
             {"point": list(pt), "preimage": _torsion_to_list(sigma)}
@@ -549,7 +449,6 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         for entry in data.get("witnesses", []):
             pt = tuple(int(x) for x in entry["point"])
             witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
-        radius = int(data.get("radius", DEFAULT_BOX_RADIUS))
         notes = tuple(data.get("notes", ()))
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
@@ -562,7 +461,6 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         automorphism=aut,
         certified=(status == "certified"),
         witnesses=witnesses,
-        radius=radius,
         template=template,
         notes=notes,
     )

@@ -1,0 +1,226 @@
+"""Reference implementations kept as independent oracles for the tests.
+
+None of these is on a path the program runs.  `inverse_in_box` decides by
+a bounded linear solve whether a group-ring element has an inverse; the
+acceptance gate checks it against the unit criterion.  The solve diagonalizes
+over Z with the Smith normal form.  `twisted_classes_unionfind` counts
+twisted classes by a literal union-find over every pair (h, x).
+"""
+
+from math import gcd
+
+from lamptwist.finite import TwistedClassPartition
+from lamptwist.group import Torsion
+from lamptwist.matrix import as_matrix, identity, mat_mul, mat_vec
+
+DEFAULT_INVERSE_RADIUS = 8
+
+
+def _as_triple(u, d, v):
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
+
+
+def reference_smith_normal_form(b):
+    """Smith normal form over Z, one elimination step per term.
+
+    Returns (U, D, V) with U b V = D, U and V unimodular, the diagonal of D
+    nonnegative and each entry dividing the next.  Rectangular input is
+    allowed.  Pivots are chosen by least absolute value, the first such
+    entry in row-major order.  The factorization is checked before it is
+    returned.
+    """
+    b = as_matrix(b)
+    m, n = len(b), len(b[0])
+    a = [list(row) for row in b]
+    u = [list(row) for row in identity(m)]
+    v = [list(row) for row in identity(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def add_row(i, j, q):
+        for c in range(n):
+            a[i][c] += q * a[j][c]
+        for c in range(m):
+            u[i][c] += q * u[j][c]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(i, j, q):
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        return best
+
+    for t in range(min(m, n)):
+        while True:
+            piv = find_pivot(t)
+            if piv is None:
+                break
+            _, pi, pj = piv
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            stray = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t]:
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            add_row(t, stray, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+
+    triple = _as_triple(u, a, v)
+    if mat_mul(mat_mul(triple[0], b), triple[2]) != triple[1]:
+        raise AssertionError("Smith normal form accumulator mismatch")
+    return triple
+
+
+def reference_solve_linear(a, b, modulus):
+    """Particular solution of a x = b (mod modulus), or None.
+
+    The Smith normal form U a V = D splits the system into congruences
+    d_i y_i = (U b)_i, each decided by a gcd condition, so no solvable
+    system is missed; x = V y.
+    """
+    nrows = len(a)
+    if nrows == 0:
+        return []
+    ncols = len(a[0])
+    if ncols == 0:
+        return [] if all(bb % modulus == 0 for bb in b) else None
+    u, d, v = reference_smith_normal_form(a)
+    c = mat_vec(u, tuple(b))
+    rank_bound = min(nrows, ncols)
+    y = [0] * ncols
+    for i in range(nrows):
+        di = d[i][i] if i < rank_bound else 0
+        ci = c[i] % modulus
+        g = gcd(di, modulus)
+        if ci % g:
+            return None
+        if di:
+            reduced = modulus // g
+            if reduced > 1:
+                inv = pow((di // g) % reduced, -1, reduced)
+                y[i] = ((ci // g) * inv) % reduced
+    return [x % modulus for x in mat_vec(v, tuple(y))]
+
+
+def inverse_in_box(u: Torsion, radius: int = DEFAULT_INVERSE_RADIUS) -> Torsion | None:
+    """Search the box |x|_inf <= radius for v with u * v = origin generator.
+
+    Independent of the unit criterion: sets up the convolution equations on
+    the box support and solves them modulo n.  Returns None when no inverse
+    supported in the box exists.
+    """
+    n, k = u.modulus, u.rank
+    if u.is_zero():
+        return None
+    box = []
+
+    def fill(prefix):
+        if len(prefix) == k:
+            box.append(tuple(prefix))
+            return
+        for c in range(-radius, radius + 1):
+            fill(prefix + [c])
+
+    fill([])
+    index = {pt: i for i, pt in enumerate(box)}
+    eq_points = sorted({tuple(a + b for a, b in zip(p, s)) for p, _ in u.items() for s in box})
+    origin = (0,) * k
+    rows = []
+    rhs = []
+    for x in eq_points:
+        row = [0] * len(box)
+        for p, c in u.items():
+            y = tuple(a - b for a, b in zip(x, p))
+            j = index.get(y)
+            if j is not None:
+                row[j] = (row[j] + c) % n
+        rows.append(row)
+        rhs.append(1 if x == origin else 0)
+    sol = reference_solve_linear(rows, rhs, n)
+    if sol is None:
+        return None
+    v = Torsion(n, k, zip(box, sol))
+    if not u.convolve(v) == Torsion.delta(n, k, origin):
+        raise AssertionError("box solver returned a non-inverse")
+    return v
+
+
+def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
+    """Twisted classes of a finite model by union-find over all (h, g) pairs."""
+    order = group.order
+    parent = list(range(order))
+    size = [1] * order
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+
+    for h in range(order):
+        fh = aut(group.inverse(h))
+        for g in range(order):
+            union(g, group.multiply(group.multiply(h, g), fh))
+
+    mins: dict[int, int] = {}
+    for x in range(order):
+        r = find(x)
+        if r not in mins or x < mins[r]:
+            mins[r] = x
+    reps = sorted(mins.values())
+    rank = {rep: i for i, rep in enumerate(reps)}
+    labels = tuple(rank[mins[find(x)]] for x in range(order))
+    return TwistedClassPartition(labels=labels, reps=tuple(reps), count=len(reps))

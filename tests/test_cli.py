@@ -171,15 +171,33 @@ class TestReidemeister:
         ["n7-k1", "n49-k1", "n49-k2", "n49-k2-no-witness", "n25-k3", "n35-k3"],
     )
     def test_box_solver_golden(self, capsys, tmp_path, name):
-        # byte-for-byte captures of stdout and the emitted certificate for
-        # verdicts whose witnesses come from the box solver; they must not change
+        # verdicts without an orbit template, captured when a box solver still
+        # added witnesses to their certificates: the reidemeister runs must not
+        # change, and the stored certificate, box witnesses and `radius` field
+        # included, must still verify as captured
         with gzip.open(GOLDEN / f"reidemeister-box-{name}.json.gz", "rt", encoding="utf-8") as fh:
             case = json.load(fh)
         (tmp_path / "aut.json").write_text(case["automorphism"], encoding="utf-8")
         for step in case["runs"]:
+            if step["argv"][0] == "reidemeister":
+                assert run(capsys, *step["argv"]) == (step["rc"], step["stdout"], step["stderr"])
+        emitted = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+        assert emitted["witnesses"] == [] and emitted["status"] == "unknown"
+        assert (tmp_path / "cert.json").read_text(encoding="utf-8") == case["emitted_certificate"]
+        for step in case["emitted_verify"]:
             assert run(capsys, *step["argv"]) == (step["rc"], step["stdout"], step["stderr"])
-            if "--emit-certificate" in step["argv"]:
-                assert (tmp_path / "cert.json").read_text(encoding="utf-8") == case["certificate"]
+        (tmp_path / "cert.json").write_text(case["certificate"], encoding="utf-8")
+        for step in case["runs"]:
+            if step["argv"][0] == "verify":
+                assert run(capsys, *step["argv"]) == (step["rc"], step["stdout"], step["stderr"])
+
+    @pytest.mark.parametrize("command", ["construct", "reidemeister"])
+    def test_radius_option_rejected(self, capsys, command):
+        run(capsys, "construct", "5", "1")
+        argv = {"construct": ["5", "1"], "reidemeister": ["automorphism-n5-k1.json"]}[command]
+        code, out, err = run(capsys, command, *argv, "--radius", "8")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --radius 8" in err
 
 
 class TestVerify:
@@ -192,6 +210,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "c.json")
         assert code == 2
         assert "problem:" in out and "certificate rejected" in out
+
+    def test_radius_field_is_ignored(self, capsys, tmp_path):
+        run(capsys, "construct", "5", "1")
+        run(capsys, "reidemeister", "automorphism-n5-k1.json", "--emit-certificate", "c.json")
+        clean = run(capsys, "verify", "c.json")
+        data = fileformat.load(tmp_path / "c.json")
+        data["radius"] = "eight"
+        fileformat.save(tmp_path / "c.json", data)
+        assert run(capsys, "verify", "c.json") == clean == (0, clean[1], "")
 
     def test_wrong_schema(self, capsys, tmp_path):
         fileformat.save(tmp_path / "x.json", {"schema": 1, "extra": True})

@@ -20,7 +20,6 @@ from lamptwist import (
     identity_automorphism,
     inner_twists,
     twisted_classes,
-    twisted_classes_unionfind,
     verify_projection,
     verify_restriction_bound,
     verify_shift_invariance,
@@ -30,6 +29,7 @@ from lamptwist import (
 )
 from lamptwist.finite import OracleCheck, TwistedClassPartition, projection_index_map
 from lamptwist.matrix import mat_vec
+from reference import twisted_classes_unionfind
 
 # the acceptance gate's FINITE_MODELS plus (2, 2, 2)
 REFERENCE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2), (2, 2, 2))

@@ -1,3 +1,6 @@
+import gzip
+import json
+import pathlib
 import random
 
 import pytest
@@ -15,7 +18,6 @@ from lamptwist import (
     count_fixed_lattice_characters,
     crt_lift_preimage,
     finite_reidemeister_automorphism,
-    matrix_fixed_points_mod,
     reidemeister_abelian,
     reidemeister_number,
     replay_certificate,
@@ -27,8 +29,10 @@ from lamptwist.reidemeister import (
     restriction_difference,
     template_preimage,
 )
+from reference import reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestExtNat:
@@ -60,28 +64,16 @@ class TestLatticeCounts:
             m = random_unimodular(rng, k)
             assert reidemeister_abelian(m) == count_fixed_lattice_characters(m)
 
-    def test_fixed_points_mod(self):
-        neg = ((-1, 0), (0, -1))
-        assert matrix_fixed_points_mod(neg, 2) == 4
-        assert matrix_fixed_points_mod(neg, 5) == 1
-        assert matrix_fixed_points_mod(BLOCK, 3) == 3
-        assert matrix_fixed_points_mod(BLOCK, 2) == 1
-        assert matrix_fixed_points_mod(identity(2), 6) == 36
-
-    def test_fixed_points_mod_brute_force(self):
-        import itertools
-
+    def test_matches_smith_diagonal(self):
         rng = random.Random(53)
-        for _ in range(40):
-            k = rng.randrange(1, 3)
+        for _ in range(120):
+            k = rng.randrange(1, 5)
             m = random_unimodular(rng, k)
-            box = rng.randrange(1, 7)
-            brute = 0
-            for z in itertools.product(range(box), repeat=k):
-                img = tuple(sum(r * c for r, c in zip(row, z)) % box for row in m)
-                if img == z:
-                    brute += 1
-            assert matrix_fixed_points_mod(m, box) == brute
+            _, d, _ = reference_smith_normal_form(mat_sub(identity(k), m))
+            prod = 1
+            for i in range(k):
+                prod *= d[i][i]
+            assert reidemeister_abelian(m) == (ExtNat.of(prod) if prod else INFINITE)
 
 
 class TestBlockMatrix:
@@ -170,6 +162,23 @@ class TestCertificates:
         assert not cert.certified
         assert any("template incomplete" in note for note in cert.notes)
 
+    @pytest.mark.parametrize(
+        "aut, why",
+        [
+            (WreathAutomorphism(GroupParams(9, 1), ((-1,),), Torsion(9, 1, [((0,), 1), ((1,), 3)])),
+             "origin image has multi-point support; orbit template unavailable"),
+            (WreathAutomorphism(GroupParams(9, 2), BLOCK, Torsion.delta(9, 2, (0, 0), 4)),
+             "no inverse of (1 - c^t) mod 9 for orbit lengths [1, 3]; template incomplete"),
+            (WreathAutomorphism(GroupParams(5, 2), ((2, 1), (1, 1)), Torsion.delta(5, 2, (0, 0), 2)),
+             "lattice map has no finite order within the search cap"),
+        ],
+        ids=["multi-point", "no-inverse", "infinite-order"],
+    )
+    def test_unknown_certificate_says_why_no_template(self, aut, why):
+        cert = restriction_surjectivity(aut)
+        assert cert.status == "unknown" and cert.template is None
+        assert cert.witnesses == {} and cert.notes == (why,)
+
     def test_default_test_points(self):
         assert default_test_points(1) == [(-1,), (0,), (1,)]
         assert default_test_points(2) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
@@ -247,7 +256,7 @@ class TestCertificateSerialization:
         assert back.certified == cert.certified
         assert back.witnesses == cert.witnesses
         assert back.template == cert.template
-        assert back.radius == cert.radius
+        assert "radius" not in data
 
     def test_fresh_certificate_replays_clean(self):
         for n, k in [(5, 1), (7, 3), (9, 2), (21, 2)]:
@@ -274,6 +283,16 @@ class TestCertificateSerialization:
         data["witnesses"] = []
         failures = replay_certificate(certificate_from_dict(data))
         assert any("no witnesses" in f for f in failures)
+
+    def test_stored_witnesses_serve_preimages(self):
+        # a certificate without a template, with witnesses from an earlier solver
+        with gzip.open(GOLDEN / "reidemeister-box-n49-k1.json.gz", "rt", encoding="utf-8") as fh:
+            cert = certificate_from_dict(json.loads(json.load(fh)["certificate"]))
+        assert cert.template is None and sorted(cert.witnesses) == [(-1,), (0,), (1,)]
+        assert replay_certificate(cert) == []
+        assert cert.preimage((0,)) == cert.witnesses[(0,)]
+        with pytest.raises(ValueError, match="no preimage"):
+            cert.preimage((2,))
 
     def test_wrong_kind_rejected(self):
         from lamptwist.fileformat import SchemaError
