@@ -46,7 +46,6 @@ from .reidemeister import (
     certificate_from_dict,
     certificate_to_dict,
     classify_r_infinity,
-    count_fixed_lattice_characters,
     crt_lift_preimage,
     default_test_points,
     finite_reidemeister_automorphism,
@@ -122,7 +121,6 @@ __all__ = [
     "ExtNat",
     "INFINITE",
     "reidemeister_abelian",
-    "count_fixed_lattice_characters",
     "restriction_surjectivity",
     "restriction_difference",
     "template_preimage",

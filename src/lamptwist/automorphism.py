@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fileformat import SCHEMA_VERSION, SchemaError, check_schema
+from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
 from .group import GroupElement, GroupParams, IncompatibleParams, Torsion
 from .matrix import (
     as_matrix,
@@ -352,7 +352,8 @@ def _torsion_from_list(data, modulus: int, rank: int) -> Torsion:
     for entry in data:
         if not isinstance(entry, dict) or "coeff" not in entry or "point" not in entry:
             raise ValueError(f"bad torsion term {entry!r}")
-        items.append((tuple(int(x) for x in entry["point"]), int(entry["coeff"])))
+        point = tuple(json_int(x, "point coordinate") for x in entry["point"])
+        items.append((point, json_int(entry["coeff"], "coeff")))
     return Torsion(modulus, rank, items)
 
 
@@ -370,10 +371,10 @@ def automorphism_to_dict(aut: WreathAutomorphism) -> dict:
 def automorphism_from_dict(data: dict) -> WreathAutomorphism:
     check_schema(data)
     try:
-        modulus = int(data["modulus"])
-        rank = int(data["rank"])
+        modulus = json_int(data["modulus"], "modulus")
+        rank = json_int(data["rank"], "rank")
         params = GroupParams(modulus, rank)
-        matrix = as_matrix(data["matrix"])
+        matrix = as_matrix([json_int(x, "matrix entry") for x in row] for row in data["matrix"])
         u = _torsion_from_list(data["u"], modulus, rank)
         cocycle_data = data["cocycle"]
         if not isinstance(cocycle_data, list) or len(cocycle_data) != rank:

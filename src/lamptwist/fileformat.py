@@ -11,13 +11,19 @@ class SchemaError(ValueError):
     """A file does not conform to the expected schema."""
 
 
+def json_int(value, field: str) -> int:
+    """An integer field of a file, as JSON wrote it: no bool, float or str coercion."""
+    if type(value) is not int:
+        raise SchemaError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def check_schema(data: dict, kind: str | None = None) -> None:
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported schema version {data.get('schema')!r}, expected {SCHEMA_VERSION}"
-        )
+    schema = data.get("schema")
+    if schema is None or json_int(schema, "schema") != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
     if kind is not None and data.get("kind") != kind:
         raise SchemaError(f"expected kind {kind!r}, found {data.get('kind')!r}")
 

@@ -110,12 +110,20 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 
 
 def matrix_order(m: IntMatrix, cap: int = 128) -> int | None:
-    """Least t >= 1 with m^t = identity, or None if no such t up to cap."""
-    ident = identity(len(m))
+    """Least t >= 1 with m^t = identity, or None if no such t up to cap.
+
+    The eigenvalues of a finite-order matrix are roots of unity, so each of
+    its powers has a trace of absolute value at most k; a larger one ends
+    the search early.
+    """
+    k = len(m)
+    ident = identity(k)
     p = m
     for t in range(1, cap + 1):
         if p == ident:
             return t
+        if abs(sum(p[i][i] for i in range(k))) > k:
+            return None
         p = mat_mul(p, m)
     return None
 

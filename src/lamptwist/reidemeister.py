@@ -11,7 +11,9 @@ the lattice matrix has finite order and the origin image is a single
 scaled generator: preimages of generators are supported on affine orbits
 and solve by geometric progressions whose denominators (1 - c^t) must be
 invertible for every orbit length t.  Outside that regime the certificate
-is unknown, and its notes say why no template exists.
+is unknown, and its notes say why no template exists.  One function decides
+whether a template exists and what it is; replay re-derives it from the
+automorphism and rejects a certificate whose stored template differs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .automorphism import (
     automorphism_from_dict,
     automorphism_to_dict,
 )
-from .fileformat import SCHEMA_VERSION, SchemaError, check_schema
+from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
 from .group import GroupParams, Point, Torsion
 from .matrix import (
     IntMatrix,
@@ -32,8 +34,6 @@ from .matrix import (
     det,
     identity as identity_matrix,
     is_unimodular,
-    mat_mul,
-    mat_pow,
     mat_sub,
     mat_vec,
     matrix_order,
@@ -57,11 +57,6 @@ class ExtNat:
     def is_finite(self) -> bool:
         return self.value is not None
 
-    def __mul__(self, other: "ExtNat") -> "ExtNat":
-        if self.value is None or other.value is None:
-            return INFINITE
-        return ExtNat(self.value * other.value)
-
     def __str__(self):
         return "infinite" if self.value is None else str(self.value)
 
@@ -80,14 +75,6 @@ def reidemeister_abelian(matrix: IntMatrix) -> ExtNat:
         raise ValueError("lattice map must be unimodular")
     d = det(mat_sub(identity_matrix(len(matrix)), matrix))
     return ExtNat(abs(d)) if d else INFINITE
-
-
-def count_fixed_lattice_characters(matrix: IntMatrix) -> ExtNat:
-    """Characters of Z^k fixed by precomposition: solutions of (M^T - I)x in Z^k.
-
-    det(M^T - I) = +-det(I - M), so the count is the lattice twisted-class count.
-    """
-    return reidemeister_abelian(matrix)
 
 
 # -- surjectivity certificates -------------------------------------------------
@@ -181,7 +168,30 @@ def default_test_points(rank: int) -> list[Point]:
     return sorted(pts)
 
 
-def restriction_surjectivity(aut: WreathAutomorphism, test_points=None) -> SurjectivityCertificate:
+def _orbit_template(aut: WreathAutomorphism) -> tuple[PreimageTemplate | None, str | None]:
+    """The orbit template of aut, or None and the reason why none exists."""
+    n, k = aut.params.modulus, aut.params.rank
+    items = aut.origin_image.items()
+    if len(items) != 1:
+        return None, "origin image has multi-point support; orbit template unavailable"
+    (offset, coeff), = items
+    order = matrix_order(aut.matrix)
+    if order is None:
+        return None, "lattice map has no finite order within the search cap"
+    # M^order = I, so the orbit map to the power `order` is a translation;
+    # it is the identity exactly when the origin's orbit closes by then
+    if _affine_orbit(aut.matrix, offset, (0,) * k, order) is None:
+        return None, "orbit map translation part does not close; orbits are infinite"
+    inverses = [(t, modinv((1 - pow(coeff, t, n)) % n, n)) for t in divisors(order)]
+    missing = [t for t, inv in inverses if inv is None]
+    if missing:
+        return None, (
+            f"no inverse of (1 - c^t) mod {n} for orbit lengths {missing}; template incomplete"
+        )
+    return PreimageTemplate(coeff % n, offset, order, tuple(inverses)), None
+
+
+def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate:
     """Certificate that (1 - torsion restriction) hits every generator.
 
     Certified only under the orbit-uniform argument: finite-order lattice
@@ -191,46 +201,9 @@ def restriction_surjectivity(aut: WreathAutomorphism, test_points=None) -> Surje
     """
     aut._require_valid()
     n, k = aut.params.modulus, aut.params.rank
-    if test_points is None:
-        test_points = default_test_points(k)
-    test_points = sorted(tuple(int(c) for c in z) for z in test_points)
-    notes = []
-    template = None
-
-    items = aut.origin_image.items()
-    if len(items) == 1:
-        (offset, coeff), = items
-        order = matrix_order(aut.matrix)
-        if order is None:
-            notes.append("lattice map has no finite order within the search cap")
-        else:
-            # translation part of the orbit map iterated `order` times
-            power_sum = [0] * k
-            acc = identity_matrix(k)
-            for _ in range(order):
-                step = mat_vec(acc, offset)
-                power_sum = [a + b for a, b in zip(power_sum, step)]
-                acc = mat_mul(acc, aut.matrix)
-            if any(power_sum):
-                notes.append("orbit map translation part does not close; orbits are infinite")
-            else:
-                inverses = []
-                missing = []
-                for t in divisors(order):
-                    inv = modinv((1 - pow(coeff, t, n)) % n, n)
-                    if inv is None:
-                        missing.append(t)
-                    else:
-                        inverses.append((t, inv))
-                if missing:
-                    notes.append(
-                        "no inverse of (1 - c^t) mod "
-                        f"{n} for orbit lengths {missing}; template incomplete"
-                    )
-                else:
-                    template = PreimageTemplate(coeff % n, offset, order, tuple(inverses))
-    else:
-        notes.append("origin image has multi-point support; orbit template unavailable")
+    test_points = default_test_points(k)
+    template, why = _orbit_template(aut)
+    notes = [] if why is None else [why]
 
     witnesses: dict[Point, Torsion] = {}
     if template is not None:
@@ -382,7 +355,7 @@ class ReidemeisterResult:
         return "unknown" if self.value is None else str(self.value)
 
 
-def reidemeister_number(aut: WreathAutomorphism, test_points=None) -> ReidemeisterResult:
+def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
     """Full-group Reidemeister count.
 
     Infinite when the lattice quotient count is infinite; equal to the
@@ -392,7 +365,7 @@ def reidemeister_number(aut: WreathAutomorphism, test_points=None) -> Reidemeist
     quotient = reidemeister_abelian(aut.matrix)
     if not quotient.is_finite:
         return ReidemeisterResult(quotient, None, INFINITE)
-    cert = restriction_surjectivity(aut, test_points=test_points)
+    cert = restriction_surjectivity(aut)
     if cert.certified:
         return ReidemeisterResult(quotient, cert, quotient)
     return ReidemeisterResult(quotient, cert, None)
@@ -440,21 +413,23 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         tdata = data.get("template")
         if tdata is not None:
             template = PreimageTemplate(
-                coeff=int(tdata["coeff"]),
-                offset=tuple(int(x) for x in tdata["point"]),
-                order=int(tdata["order"]),
-                inverses=tuple(sorted((int(t), int(v)) for t, v in tdata["inverses"].items())),
+                coeff=json_int(tdata["coeff"], "template coeff"),
+                offset=tuple(json_int(x, "template point coordinate") for x in tdata["point"]),
+                order=json_int(tdata["order"], "template order"),
+                inverses=tuple(sorted(
+                    (int(t), json_int(v, "template inverse")) for t, v in tdata["inverses"].items()
+                )),
             )
         witnesses = {}
         for entry in data.get("witnesses", []):
-            pt = tuple(int(x) for x in entry["point"])
+            pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
             witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
         notes = tuple(data.get("notes", ()))
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
     except (TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed certificate data: {exc}") from exc
-    # replay enumerates the divisors of the order, so only the true one is taken
+    # preimages walk orbits for up to `order` steps, so only the true order is taken
     if template is not None and template.order != matrix_order(aut.matrix):
         raise SchemaError(f"template order {template.order} is not the order of the lattice map")
     return SurjectivityCertificate(
@@ -466,8 +441,30 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
     )
 
 
+def _template_differences(stored, derived, why) -> list[str]:
+    """How a stored orbit template departs from the one derived from the automorphism."""
+    if derived is None:
+        return [f"certificate carries an orbit template, but {why}"]
+    if stored is None:
+        return ["certificate omits the orbit template its automorphism has"]
+    fields = [("coeff", stored.coeff, derived.coeff),
+              ("point", stored.offset, derived.offset),
+              ("order", stored.order, derived.order)]
+    got, want = dict(stored.inverses), dict(derived.inverses)
+    fields += [(f"inverse for orbit length {t}", got.get(t), want.get(t))
+               for t in sorted(got.keys() | want.keys())]
+    # an orbit length listed twice, say, differs in no field
+    return [f"template {name} is {a}, expected {b}" for name, a, b in fields if a != b] or [
+        "template lists its inverses differently from the derived one"
+    ]
+
+
 def replay_certificate(cert: SurjectivityCertificate) -> list[str]:
-    """Re-run every claim a certificate makes; returns failure messages."""
+    """Re-run every claim a certificate makes; returns failure messages.
+
+    The orbit template is derived again from the automorphism, and a stored
+    template must equal it: each inverse mod n is unique, so equality is exact.
+    """
     failures = []
     aut = cert.automorphism
     report = aut.validate()
@@ -477,22 +474,11 @@ def replay_certificate(cert: SurjectivityCertificate) -> list[str]:
     n, k = aut.params.modulus, aut.params.rank
     if cert.certified and not cert.witnesses:
         failures.append("certified certificate carries no witnesses")
+    template, why = _orbit_template(aut)
     if cert.certified and cert.template is None:
         failures.append("certified certificate carries no orbit template")
-    if cert.template is not None:
-        t_ok = True
-        if mat_pow(aut.matrix, cert.template.order) != identity_matrix(k):
-            failures.append("template order is not an order of the lattice map")
-            t_ok = False
-        for t, inv in cert.template.inverses:
-            if ((1 - pow(cert.template.coeff, t, n)) * inv) % n != 1:
-                failures.append(f"template inverse for orbit length {t} is wrong")
-                t_ok = False
-        if cert.certified and t_ok:
-            missing = [t for t in divisors(cert.template.order)
-                       if cert.template.inverse_for(t) is None]
-            if missing:
-                failures.append(f"template lacks inverses for orbit lengths {missing}")
+    elif cert.template != template:
+        failures.extend(_template_differences(cert.template, template, why))
     for pt, sigma in sorted(cert.witnesses.items()):
         expected = Torsion.delta(n, k, pt)
         actual = restriction_difference(aut, sigma)

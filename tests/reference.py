@@ -3,15 +3,17 @@
 None of these is on a path the program runs.  `inverse_in_box` decides by
 a bounded linear solve whether a group-ring element has an inverse; the
 acceptance gate checks it against the unit criterion.  The solve diagonalizes
-over Z with the Smith normal form.  `twisted_classes_unionfind` counts
-twisted classes by a literal union-find over every pair (h, x).
+over Z with the Smith normal form.  `fixed_character_count` counts the
+characters of Z^k that a lattice map fixes, from the same Smith normal form.
+`twisted_classes_unionfind` counts twisted classes by a literal union-find
+over every pair (h, x).
 """
 
-from math import gcd
+from math import gcd, prod
 
 from lamptwist.finite import TwistedClassPartition
 from lamptwist.group import Torsion
-from lamptwist.matrix import as_matrix, identity, mat_mul, mat_vec
+from lamptwist.matrix import as_matrix, identity, mat_mul, mat_sub, mat_vec, transpose
 
 DEFAULT_INVERSE_RADIUS = 8
 
@@ -111,6 +113,17 @@ def reference_smith_normal_form(b):
     if mat_mul(mat_mul(triple[0], b), triple[2]) != triple[1]:
         raise AssertionError("Smith normal form accumulator mismatch")
     return triple
+
+
+def fixed_character_count(m) -> int:
+    """Characters of Z^k fixed by precomposition with m, 0 when there are infinitely many.
+
+    A character x in (R/Z)^k is fixed when (m^T - I) x is integral; the count is
+    the product of the Smith diagonal of m^T - I.
+    """
+    k = len(m)
+    _, d, _ = reference_smith_normal_form(mat_sub(transpose(m), identity(k)))
+    return prod(d[i][i] for i in range(k))
 
 
 def reference_solve_linear(a, b, modulus):

@@ -11,11 +11,16 @@ import pytest
 import lamptwist.cli as cli
 from lamptwist import (
     GroupParams,
+    PreimageTemplate,
+    SurjectivityCertificate,
     Torsion,
     WreathAutomorphism,
     automorphism_from_dict,
     automorphism_to_dict,
+    certificate_to_dict,
+    default_test_points,
     fileformat,
+    template_preimage,
 )
 from lamptwist.finite import OracleCheck
 
@@ -225,6 +230,55 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "x.json")
         assert code == 1 and "error:" in err
 
+    @staticmethod
+    def order_six_forgery():
+        """n = 13, M of order 6, u = 4 D[0]: 1 - 4^6 = 0 mod 13, so no template exists.
+
+        The forgery claims one with coeff 2, which has every inverse, and
+        carries the true preimages at the test points, whose orbits have
+        lengths 1, 2 and 3.
+        """
+        n, k, origin = 13, 3, (0, 0, 0)
+        matrix = ((0, -1, 0), (1, -1, 0), (0, 0, -1))
+        aut = WreathAutomorphism(GroupParams(n, k), matrix, Torsion.delta(n, k, origin, 4))
+
+        def template(coeff, lengths):
+            return PreimageTemplate(
+                coeff, origin, 6, tuple((t, pow(1 - coeff**t, -1, n)) for t in lengths)
+            )
+
+        partial = template(4, (1, 2, 3))
+        witnesses = {z: template_preimage(aut, partial, z) for z in default_test_points(k)}
+        forged = SurjectivityCertificate(aut, True, witnesses, template(2, (1, 2, 3, 6)))
+        return certificate_to_dict(forged)
+
+    @pytest.mark.parametrize(
+        "forgery, problem",
+        [
+            ("order-six", "certificate carries an orbit template, but no inverse of"
+                          " (1 - c^t) mod 13 for orbit lengths [6]; template incomplete"),
+            ("moved-point", "template point is (3,), expected (0,)"),
+            ("other-coeff", "template coeff is 3, expected 2"),
+        ],
+    )
+    def test_forged_template_rejected(self, capsys, tmp_path, forgery, problem):
+        # every witness replays; only the template does not belong to the automorphism
+        if forgery == "order-six":
+            data = self.order_six_forgery()
+        else:
+            run(capsys, "construct", "5", "1")
+            run(capsys, "reidemeister", "automorphism-n5-k1.json", "--emit-certificate", "c.json")
+            data = fileformat.load(tmp_path / "c.json")
+            if forgery == "moved-point":
+                data["template"]["point"] = [3]
+            else:
+                data["template"].update(coeff=3, inverses={"1": 2, "2": 3})
+        fileformat.save(tmp_path / "c.json", data)
+        code, out, _ = run(capsys, "verify", "c.json")
+        assert code == 2
+        assert f"problem: {problem}\n" in out
+        assert out.endswith("certificate rejected\n")
+
 
 def run_hostile(capsys, *argv):
     """A hostile file must end in exit 1 with one `error:` line, and quickly."""
@@ -258,6 +312,44 @@ class TestHostileCertificate:
         cert["template"]["order"] = 10**16
         fileformat.save(tmp_path / "c.json", cert)
         assert "template order" in run_hostile(capsys, "verify", "c.json")
+
+
+class TestIntegerFields:
+    # a bool, float or str where the schema has an integer is a schema error, not coerced
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            pytest.param("reidemeister", ("modulus",), 5.5, id="modulus-float"),
+            pytest.param("reidemeister", ("modulus",), "5", id="modulus-str"),
+            pytest.param("reidemeister", ("rank",), True, id="rank-bool"),
+            pytest.param("reidemeister", ("schema",), True, id="schema-bool"),
+            pytest.param("reidemeister", ("schema",), 1.0, id="schema-float"),
+            pytest.param("reidemeister", ("matrix", 0, 0), -1.0, id="matrix-entry-float"),
+            pytest.param("reidemeister", ("u", 0, "coeff"), "2", id="u-coeff-str"),
+            pytest.param("reidemeister", ("u", 0, "point", 0), False, id="u-point-bool"),
+            pytest.param("verify", ("schema",), True, id="certificate-schema-bool"),
+            pytest.param("verify", ("automorphism", "modulus"), 5.0, id="certificate-modulus-float"),
+            pytest.param("verify", ("template", "coeff"), 2.9, id="template-coeff-float"),
+            pytest.param("verify", ("template", "order"), "2", id="template-order-str"),
+            pytest.param("verify", ("template", "point", 0), 0.0, id="template-point-float"),
+            pytest.param("verify", ("template", "inverses", "1"), 1.0, id="template-inverse-float"),
+            pytest.param("verify", ("witnesses", 0, "point", 0), True, id="witness-point-bool"),
+            pytest.param("verify", ("witnesses", 0, "preimage", 0, "coeff"), 1.5,
+                         id="witness-coeff-float"),
+        ],
+    )
+    def test_non_integer_is_a_schema_error(self, capsys, tmp_path, command, path, value):
+        run(capsys, "construct", "5", "1")
+        run(capsys, "reidemeister", "automorphism-n5-k1.json", "--emit-certificate", "c.json")
+        name = "c.json" if command == "verify" else "automorphism-n5-k1.json"
+        data = fileformat.load(tmp_path / name)
+        *parents, field = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[field] = value
+        fileformat.save(tmp_path / name, data)
+        assert "must be an integer" in run_hostile(capsys, command, name)
 
 
 class TestValidate:

@@ -71,6 +71,27 @@ class TestBasics:
         assert matrix_order(((-1, 0), (0, -1))) == 2
         assert matrix_order(((1, 1), (0, 1))) is None
 
+    def test_matrix_order_matches_plain_search(self):
+        # the trace bound may only end the search for matrices of infinite order
+        def plain_order(m):
+            p = m
+            for t in range(1, 129):
+                if p == identity(len(m)):
+                    return t
+                p = mat_mul(p, m)
+            return None
+
+        rng = random.Random(61)
+        finite = [BLOCK, ((1, -1), (1, 0)), ((0, 1, 0), (0, 0, 1), (-1, 0, 0))]
+        cases = [random_unimodular(rng, rng.randrange(1, 5)) for _ in range(200)]
+        for f in finite:
+            for _ in range(20):
+                u = random_unimodular(rng, len(f))
+                cases.append(mat_mul(mat_mul(u, f), inverse_unimodular(u)))
+        assert sum(plain_order(m) is not None for m in cases) >= 60
+        for m in cases:
+            assert matrix_order(m) == plain_order(m)
+
     def test_as_matrix_rejects_ragged(self):
         with pytest.raises(ValueError):
             as_matrix([[1, 2], [3]])

@@ -15,7 +15,6 @@ from lamptwist import (
     certificate_from_dict,
     certificate_to_dict,
     classify_r_infinity,
-    count_fixed_lattice_characters,
     crt_lift_preimage,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
@@ -29,7 +28,7 @@ from lamptwist.reidemeister import (
     restriction_difference,
     template_preimage,
 )
-from reference import reference_smith_normal_form
+from reference import fixed_character_count, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -39,11 +38,6 @@ class TestExtNat:
     def test_str(self):
         assert str(ExtNat.of(7)) == "7"
         assert str(INFINITE) == "infinite"
-
-    def test_absorbing_product(self):
-        assert ExtNat.of(3) * ExtNat.of(4) == ExtNat.of(12)
-        assert (INFINITE * ExtNat.of(5)) == INFINITE
-        assert (ExtNat.of(5) * INFINITE) == INFINITE
 
 
 class TestLatticeCounts:
@@ -62,7 +56,8 @@ class TestLatticeCounts:
         for _ in range(120):
             k = rng.randrange(1, 5)
             m = random_unimodular(rng, k)
-            assert reidemeister_abelian(m) == count_fixed_lattice_characters(m)
+            count = fixed_character_count(m)
+            assert reidemeister_abelian(m) == (ExtNat.of(count) if count else INFINITE)
 
     def test_matches_smith_diagonal(self):
         rng = random.Random(53)
@@ -171,8 +166,10 @@ class TestCertificates:
              "no inverse of (1 - c^t) mod 9 for orbit lengths [1, 3]; template incomplete"),
             (WreathAutomorphism(GroupParams(5, 2), ((2, 1), (1, 1)), Torsion.delta(5, 2, (0, 0), 2)),
              "lattice map has no finite order within the search cap"),
+            (WreathAutomorphism(GroupParams(5, 1), ((1,),), Torsion.delta(5, 1, (1,), 2)),
+             "orbit map translation part does not close; orbits are infinite"),
         ],
-        ids=["multi-point", "no-inverse", "infinite-order"],
+        ids=["multi-point", "no-inverse", "infinite-order", "open-orbit"],
     )
     def test_unknown_certificate_says_why_no_template(self, aut, why):
         cert = restriction_surjectivity(aut)
@@ -276,6 +273,23 @@ class TestCertificateSerialization:
         data["template"]["inverses"]["1"] += 1
         failures = replay_certificate(certificate_from_dict(data))
         assert any("inverse for orbit length 1" in f for f in failures)
+
+    def test_orbit_length_listed_twice_detected(self):
+        cert = restriction_surjectivity(finite_reidemeister_automorphism(5, 1))
+        data = certificate_to_dict(cert)
+        data["template"]["inverses"]["01"] = data["template"]["inverses"]["1"]
+        assert replay_certificate(certificate_from_dict(data)) == [
+            "template lists its inverses differently from the derived one"
+        ]
+
+    def test_omitted_template_detected(self):
+        # an unknown certificate may not hide the template its automorphism has
+        cert = restriction_surjectivity(finite_reidemeister_automorphism(5, 1))
+        data = certificate_to_dict(cert)
+        data.update(status="unknown", template=None)
+        assert replay_certificate(certificate_from_dict(data)) == [
+            "certificate omits the orbit template its automorphism has"
+        ]
 
     def test_certified_without_witnesses_rejected(self):
         cert = restriction_surjectivity(finite_reidemeister_automorphism(5, 1))
