@@ -22,8 +22,7 @@ inverses are produced by prime-power Hensel lifting and verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
 from .group import GroupElement, GroupParams, IncompatibleParams, Torsion
@@ -88,8 +87,7 @@ def group_ring_inverse(u: Torsion) -> Torsion:
     return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     matrix_unimodular: bool
     u_is_unit: bool
     cocycle_consistent: bool

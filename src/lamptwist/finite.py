@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,8 +343,7 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
 # -- twisted classes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedClassPartition:
+class TwistedClassPartition(NamedTuple):
     """Partition of the model into twisted-conjugacy classes.
 
     `labels[i]` is the class id of element i; ids are the ranks of the
@@ -437,8 +436,7 @@ def fixed_conjugacy_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -
 # -- verification reports --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     name: str
     params: str
     passed: bool

@@ -13,8 +13,7 @@ integers and torsion coefficients live in Z_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 Point = tuple[int, ...]
 
@@ -23,18 +22,32 @@ class IncompatibleParams(ValueError):
     """Operands belong to different ambient groups (modulus or rank differ)."""
 
 
-@dataclass(frozen=True)
 class GroupParams:
     """Ambient group descriptor for Z_n wr Z^k: torsion modulus n, lattice rank k."""
 
-    modulus: int
-    rank: int
+    __slots__ = ("modulus", "rank")
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
+    def __init__(self, modulus: int, rank: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be at least 2, got {modulus}")
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupParams is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.modulus, self.rank))
+
+    def __repr__(self):
+        return f"GroupParams(modulus={self.modulus!r}, rank={self.rank!r})"
 
     def __str__(self):
         return f"Z_{self.modulus} wr Z^{self.rank}"
@@ -198,20 +211,33 @@ class Torsion:
         return f"Torsion({self.modulus}, {self.rank}, {self.render()})"
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Element (torsion, shift) of Z_n wr Z^k."""
 
-    torsion: Torsion
-    shift: Point
+    __slots__ = ("torsion", "shift")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift", tuple(int(c) for c in self.shift))
-        if len(self.shift) != self.torsion.rank:
+    def __init__(self, torsion: Torsion, shift: Iterable[int]):
+        shift = tuple(int(c) for c in shift)
+        if len(shift) != torsion.rank:
             raise IncompatibleParams(
-                f"shift {self.shift} has length {len(self.shift)}, "
-                f"expected rank {self.torsion.rank}"
+                f"shift {shift} has length {len(shift)}, expected rank {torsion.rank}"
             )
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "shift", shift)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.torsion == other.torsion and self.shift == other.shift
+
+    def __hash__(self):
+        return hash((self.torsion, self.shift))
+
+    def __repr__(self):
+        return f"GroupElement(torsion={self.torsion!r}, shift={self.shift!r})"
 
     @property
     def params(self) -> GroupParams:

@@ -18,8 +18,8 @@ automorphism and rejects a certificate whose stored template differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .automorphism import (
     WreathAutomorphism,
@@ -43,8 +43,7 @@ from .modular import crt, divisors, factorize, modinv
 CERTIFICATE_KIND = "surjectivity-certificate"
 
 
-@dataclass(frozen=True)
-class ExtNat:
+class ExtNat(NamedTuple):
     """Nonnegative count extended by an absorbing infinite value (None)."""
 
     value: int | None
@@ -80,8 +79,7 @@ def reidemeister_abelian(matrix: IntMatrix) -> ExtNat:
 # -- surjectivity certificates -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class PreimageTemplate:
+class PreimageTemplate(NamedTuple):
     """Uniform recipe for preimages of generators under (1 - restriction).
 
     Valid when the lattice matrix has finite order and the origin image is
@@ -100,13 +98,22 @@ class PreimageTemplate:
         return dict(self.inverses).get(length)
 
 
-@dataclass
 class SurjectivityCertificate:
-    automorphism: WreathAutomorphism
-    certified: bool
-    witnesses: dict[Point, Torsion]
-    template: PreimageTemplate | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("automorphism", "certified", "witnesses", "template", "notes")
+
+    def __init__(
+        self,
+        automorphism: WreathAutomorphism,
+        certified: bool,
+        witnesses: dict[Point, Torsion],
+        template: PreimageTemplate | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        self.automorphism = automorphism
+        self.certified = certified
+        self.witnesses = witnesses
+        self.template = template
+        self.notes = notes
 
     @property
     def status(self) -> str:
@@ -317,8 +324,7 @@ def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     return WreathAutomorphism(params, matrix, Torsion.delta(n, k, (0,) * k, mult))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     modulus: int
     rank: int
     always_infinite: bool
@@ -341,8 +347,7 @@ def classify_r_infinity(n: int, k: int) -> Classification:
     return Classification(n, k, False, automorphism=aut, reidemeister=result.value.value)
 
 
-@dataclass
-class ReidemeisterResult:
+class ReidemeisterResult(NamedTuple):
     quotient: ExtNat
     certificate: SurjectivityCertificate | None
     value: ExtNat | None  # None encodes unknown
@@ -399,6 +404,17 @@ def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
     }
 
 
+def _orbit_length(key: str) -> int:
+    """A template `inverses` key: a positive orbit length written as str(t) writes it."""
+    try:
+        t = int(key)
+    except ValueError:
+        t = 0
+    if key != str(t) or t < 1:
+        raise SchemaError(f"template inverses key {key!r} is not a positive orbit length")
+    return t
+
+
 def certificate_from_dict(data: dict) -> SurjectivityCertificate:
     from .automorphism import _torsion_from_list
 
@@ -417,14 +433,18 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
                 offset=tuple(json_int(x, "template point coordinate") for x in tdata["point"]),
                 order=json_int(tdata["order"], "template order"),
                 inverses=tuple(sorted(
-                    (int(t), json_int(v, "template inverse")) for t, v in tdata["inverses"].items()
+                    (_orbit_length(t), json_int(v, "template inverse"))
+                    for t, v in tdata["inverses"].items()
                 )),
             )
         witnesses = {}
         for entry in data.get("witnesses", []):
             pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
             witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
-        notes = tuple(data.get("notes", ()))
+        notes = data.get("notes", [])
+        if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+            raise SchemaError("certificate notes must be a list of strings")
+        notes = tuple(notes)
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
     except (TypeError, AttributeError) as exc:

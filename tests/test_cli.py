@@ -313,6 +313,20 @@ class TestHostileCertificate:
         fileformat.save(tmp_path / "c.json", cert)
         assert "template order" in run_hostile(capsys, "verify", "c.json")
 
+    # an orbit length is keyed exactly as str(t) writes it; int() alone takes more
+    @pytest.mark.parametrize("key", [" +0_2", "02", "x"])
+    def test_non_canonical_inverses_key(self, capsys, tmp_path, cert, key):
+        inverses = cert["template"]["inverses"]
+        inverses[key] = inverses.pop("2")
+        fileformat.save(tmp_path / "c.json", cert)
+        assert "template inverses key" in run_hostile(capsys, "verify", "c.json")
+
+    @pytest.mark.parametrize("notes", ["abc", [1]])
+    def test_notes_not_a_list_of_strings(self, capsys, tmp_path, cert, notes):
+        cert["notes"] = notes
+        fileformat.save(tmp_path / "c.json", cert)
+        assert "notes" in run_hostile(capsys, "verify", "c.json")
+
 
 class TestIntegerFields:
     # a bool, float or str where the schema has an integer is a schema error, not coerced
@@ -589,6 +603,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
+# what the interpreter loads before lamptwist (through a site .pth, say) is not the package's
+HEAVY_MODULES_SCRIPT = """
+import json, sys
+
+def heavy():
+    return sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+
+bare = heavy()
+import lamptwist.cli as cli
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    loaded.append([argv[0], code, heavy()])
+print(json.dumps({"bare": bare, "loaded": loaded}))
+"""
+
 LAZY_NAMES_SCRIPT = """
 import json, sys
 import lamptwist
@@ -639,6 +670,17 @@ class TestStartup:
             ["validate", 0, False, False],
             ["oracle", 0, True, True],
         ]
+
+    def test_numpy_free_commands_skip_dataclasses_and_inspect(self, tmp_path):
+        argvs = [
+            ["classify", "5", "1", "--out", "a.json"],
+            ["construct", "5", "2", "--out", "b.json"],
+            ["reidemeister", "b.json", "--emit-certificate", "c.json"],
+            ["verify", "c.json"],
+            ["validate", "a.json"],
+        ]
+        got = run_fresh(tmp_path, HEAVY_MODULES_SCRIPT, json.dumps(argvs))
+        assert got["loaded"] == [[argv[0], 0, got["bare"]] for argv in argvs]
 
     def test_finite_names_load_on_first_use(self, tmp_path):
         got = run_fresh(tmp_path, LAZY_NAMES_SCRIPT)

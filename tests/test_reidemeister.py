@@ -9,6 +9,8 @@ from lamptwist import (
     GroupParams,
     INFINITE,
     ExtNat,
+    PreimageTemplate,
+    SchemaError,
     Torsion,
     WreathAutomorphism,
     block_order_three,
@@ -276,11 +278,16 @@ class TestCertificateSerialization:
 
     def test_orbit_length_listed_twice_detected(self):
         cert = restriction_surjectivity(finite_reidemeister_automorphism(5, 1))
-        data = certificate_to_dict(cert)
-        data["template"]["inverses"]["01"] = data["template"]["inverses"]["1"]
-        assert replay_certificate(certificate_from_dict(data)) == [
+        t = cert.template
+        cert.template = PreimageTemplate(t.coeff, t.offset, t.order, t.inverses[:1] + t.inverses)
+        assert replay_certificate(cert) == [
             "template lists its inverses differently from the derived one"
         ]
+        # a file cannot list it twice: a key other than str(t) is a schema error
+        data = certificate_to_dict(restriction_surjectivity(cert.automorphism))
+        data["template"]["inverses"]["01"] = data["template"]["inverses"]["1"]
+        with pytest.raises(SchemaError, match="inverses key '01'"):
+            certificate_from_dict(data)
 
     def test_omitted_template_detected(self):
         # an unknown certificate may not hide the template its automorphism has
