@@ -70,7 +70,6 @@ _FINITE_NAMES = frozenset(
         "FiniteWreathGroup",
         "OracleCheck",
         "TwistedClassPartition",
-        "build_group",
         "descend_automorphism",
         "fixed_conjugacy_classes",
         "identity_automorphism",
@@ -143,7 +142,6 @@ __all__ = [
     "OracleCheck",
     "BudgetExceeded",
     "DescentError",
-    "build_group",
     "descend_automorphism",
     "identity_automorphism",
     "twisted_classes",

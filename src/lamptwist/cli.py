@@ -208,7 +208,7 @@ def _cmd_oracle(args) -> int:
     # imported here: `finite` loads numpy, which no other subcommand needs
     from .finite import (
         DEFAULT_BUDGET,
-        build_group,
+        FiniteWreathGroup,
         descend_automorphism,
         twisted_classes,
         verify_projection,
@@ -231,7 +231,7 @@ def _cmd_oracle(args) -> int:
         if args.divisor < 2 or args.n % args.divisor:
             raise ValueError(f"divisor {args.divisor} must be a nontrivial divisor of {args.n}")
 
-    group = build_group(args.n, args.m, args.k, budget=budget)
+    group = FiniteWreathGroup(args.n, args.m, args.k, budget=budget)
     if args.aut:
         sources = [_load_automorphism(args.aut)]
     else:
@@ -259,7 +259,7 @@ def _cmd_oracle(args) -> int:
             if "restriction" in checks:
                 results.extend(verify_restriction_bound(group, fin, base))
             if "projection" in checks:
-                small = build_group(args.divisor, args.m, args.k, budget=budget)
+                small = FiniteWreathGroup(args.divisor, args.m, args.k, budget=budget)
                 small_fin = descend_automorphism(aut.induce(args.divisor), small)
                 results.extend(verify_projection(group, small, fin, small_fin, base))
     except MemoryError:

@@ -44,3 +44,5 @@ def load(path) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None

@@ -16,7 +16,8 @@ That is a genuine group action, so its orbits are already the connected
 components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
 are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
 per round.  Many automorphisms of one model are counted in one propagation
-over the disjoint union of their graphs, a bounded chunk at a time.
+over the disjoint union of their graphs; the shift check feeds its inner
+twists to that count a bounded chunk at a time.
 Everything here is deterministic: representatives are minimal element
 indices and class ids are their ranks.
 """
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import GroupElement, GroupParams, Torsion
+from .group import GroupParams, Torsion
 from .matrix import mat_vec
 from .automorphism import WreathAutomorphism, InvalidAutomorphism
 
@@ -111,19 +112,6 @@ class FiniteWreathGroup:
                 gens.append(self._point_index[e])
         return gens
 
-    # -- group law -------------------------------------------------------------
-
-    def multiply(self, i: int, j: int) -> int:
-        (c1, z1), (c2, z2) = self.decode(i), self.decode(j)
-        perm = self._shift_perms[self._point_index[z1]]
-        combined = list(c1)
-        for idx, c in enumerate(c2):
-            if c:
-                tgt = perm[idx]
-                combined[tgt] = (combined[tgt] + c) % self.modulus
-        shift = tuple((a + b) % self.box for a, b in zip(z1, z2))
-        return self.encode(combined, shift)
-
     def inverse(self, i: int) -> int:
         coeffs, z = self.decode(i)
         neg = tuple((-c) % self.box for c in z)
@@ -199,33 +187,10 @@ class FiniteWreathGroup:
         torsion = self._torsion_maps(np.repeat(sa, pcount), addends)
         return self._elements(torsion.reshape(len(ta), pcount, -1), perms[front, sb[:, None]])
 
-    # -- bridges to the infinite group -------------------------------------------
-
-    def element_to_group(self, index: int) -> GroupElement:
-        coeffs, shift = self.decode(index)
-        items = [(p, c) for p, c in zip(self.points, coeffs) if c]
-        return GroupElement(Torsion(self.modulus, self.rank, items), shift)
-
-    def group_to_index(self, g: GroupElement) -> int:
-        if g.torsion.modulus != self.modulus or g.torsion.rank != self.rank:
-            raise ValueError("element parameters do not match the model")
-        coeffs = [0] * self.point_count
-        for p, c in g.torsion.items():
-            idx = self._point_index[tuple(x % self.box for x in p)]
-            coeffs[idx] = (coeffs[idx] + c) % self.modulus
-        return self.encode(coeffs, g.shift)
-
-    def render(self, index: int) -> str:
-        return self.element_to_group(index).render()
-
     def conjugacy_partition(self) -> "TwistedClassPartition":
         if self._conjugacy is None:
             self._conjugacy = twisted_classes(self, identity_automorphism(self))
         return self._conjugacy
-
-
-def build_group(n: int, m: int, k: int, budget: int = DEFAULT_BUDGET) -> FiniteWreathGroup:
-    return FiniteWreathGroup(n, m, k, budget=budget)
 
 
 class FiniteAutomorphism:
@@ -347,11 +312,11 @@ class TwistedClassPartition(NamedTuple):
     """Partition of the model into twisted-conjugacy classes.
 
     `labels[i]` is the class id of element i; ids are the ranks of the
-    minimal-element representatives listed in `reps`.
+    minimal-element representatives listed in `reps`.  Both are int64 arrays.
     """
 
-    labels: tuple[int, ...]
-    reps: tuple[int, ...]
+    labels: np.ndarray
+    reps: np.ndarray
     count: int
 
 
@@ -360,45 +325,30 @@ def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> Twiste
     return _partitions(group, aut.table[None, :])[0]
 
 
-# nodes in the union graph of one batch of class counts
-_CHUNK_NODES = 4096
-
-
-def _chunks(group: FiniteWreathGroup, rows):
-    """Consecutive runs of `rows`, as many per run as fit _CHUNK_NODES, at least one."""
-    size = max(1, _CHUNK_NODES // group.order)
-    return [rows[i : i + size] for i in range(0, len(rows), size)]
-
-
 def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]:
     """`twisted_classes` of every row of a stack of automorphism tables.
 
-    The rows of a chunk form one graph: row r's edge maps are offset by
-    r·|G|, so its orbits are the components in [r·|G|, (r+1)·|G|) and one
-    propagation finds the orbit minima of the whole chunk.  Each table is a
+    The rows form one graph: row r's edge maps are offset by r·|G|, so its
+    orbits are the components in [r·|G|, (r+1)·|G|) and one propagation
+    finds the orbit minima of the whole stack.  Each table is a
     homomorphism, so f(s)^-1 is read off as f(s^-1).
     """
     order, gens = group.order, group.generators()
+    rows = len(tables)
     inverse_gens = [group.inverse(s) for s in gens]
+    pairs = [(s, fs) for row in tables[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
+    offsets = np.arange(0, rows * order, order, dtype=np.int64)
+    edges = group.translations(pairs).reshape(rows, len(gens), order)
+    edges += offsets[:, None, None]
+    union = edges.swapaxes(0, 1).reshape(len(gens), -1)
+    all_minima = _orbit_minima(union, rows * order).reshape(rows, order)
+    all_minima -= offsets[:, None]
+    ids = np.arange(order)
     out = []
-    for chunk in _chunks(group, tables):
-        rows = len(chunk)
-        pairs = [(s, fs) for row in chunk[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
-        offsets = np.arange(0, rows * order, order, dtype=np.int64)
-        edges = group.translations(pairs).reshape(rows, len(gens), order)
-        edges += offsets[:, None, None]
-        union = edges.swapaxes(0, 1).reshape(len(gens), -1)
-        all_minima = _orbit_minima(union, rows * order).reshape(rows, order)
-        all_minima -= offsets[:, None]
-        for minima in all_minima:
-            is_rep = minima == np.arange(order)
-            labels = (np.cumsum(is_rep) - 1)[minima]
-            reps = np.flatnonzero(is_rep)
-            out.append(
-                TwistedClassPartition(
-                    labels=tuple(labels.tolist()), reps=tuple(reps.tolist()), count=len(reps)
-                )
-            )
+    for minima in all_minima:
+        is_rep = minima == ids
+        reps = np.flatnonzero(is_rep)
+        out.append(TwistedClassPartition((np.cumsum(is_rep) - 1)[minima], reps, len(reps)))
     return out
 
 
@@ -427,9 +377,7 @@ def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
 
 def fixed_conjugacy_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
     """Number of ordinary conjugacy classes mapped to themselves by aut."""
-    part = group.conjugacy_partition()
-    labels = np.asarray(part.labels)
-    reps = np.asarray(part.reps)
+    labels, reps, _ = group.conjugacy_partition()
     return int(np.count_nonzero(labels[aut.table[reps]] == labels[reps]))
 
 
@@ -464,13 +412,13 @@ def _model_params(group: FiniteWreathGroup, **extra) -> str:
 
 
 def verify_tbft_finite(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition | None = None
+    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition
 ) -> OracleCheck:
     """Twisted-class count against automorphism-fixed ordinary classes.
 
-    `base` is the partition of `aut`, for a caller that already counted it.
+    `base` is the partition of `aut`.
     """
-    lhs = (base or twisted_classes(group, aut)).count
+    lhs = base.count
     rhs = fixed_conjugacy_classes(group, aut)
     return OracleCheck(
         name="tbft",
@@ -481,11 +429,21 @@ def verify_tbft_finite(
     )
 
 
+# nodes in the union graph of one batch of class counts
+_CHUNK_NODES = 4096
+
+
+def _chunks(group: FiniteWreathGroup, rows):
+    """Consecutive runs of `rows`, as many per run as fit _CHUNK_NODES, at least one."""
+    size = max(1, _CHUNK_NODES // group.order)
+    return [rows[i : i + size] for i in range(0, len(rows), size)]
+
+
 def verify_shift_invariance(
     group: FiniteWreathGroup,
     aut: FiniteAutomorphism,
     elements: Iterable[int],
-    base: TwistedClassPartition | None = None,
+    base: TwistedClassPartition,
 ) -> list[OracleCheck]:
     """Count invariance under the inner twists by `elements`, plus the class-level bijection.
 
@@ -494,8 +452,6 @@ def verify_shift_invariance(
     partitions only the counts and the class-map figures are kept, so memory
     stays that of one chunk.  `base` is the partition of `aut` itself.
     """
-    if base is None:
-        base = twisted_classes(group, aut)
     elements = list(elements)
     inverse = {g: group.inverse(g) for g in elements}
     shifted_by = {h: g for g, h in inverse.items()}  # the g whose check needs the twist by h
@@ -532,11 +488,11 @@ def _class_maps(
     """
     if not parts:
         return {}
-    base_labels = np.asarray(base.labels, dtype=np.int64) * group.order
+    base_labels = base.labels * group.order
     rights = group.translations([(group.identity, g) for g in parts])
     figures = {}
     for (g, part), right in zip(parts.items(), rights):
-        mapped = np.asarray(part.labels)[right]
+        mapped = part.labels[right]
         figures[g] = len(np.unique(base_labels + mapped)), len(np.unique(mapped))
     return figures
 
@@ -555,23 +511,22 @@ def verify_projection(
     small: FiniteWreathGroup,
     aut_big: FiniteAutomorphism,
     aut_small: FiniteAutomorphism,
-    base: TwistedClassPartition | None = None,
+    base: TwistedClassPartition,
 ) -> list[OracleCheck]:
     """Projection compatibility: diagram, class map, and the count bound.
 
-    `base` is the partition of `aut_big`, for a caller that already counted it.
+    `base` is the partition of `aut_big`.
     """
     pi = projection_index_map(big, small)
     params = _model_params(big, d=small.modulus, aut=aut_big.provenance or "anonymous")
     diagram_bad = int(np.count_nonzero(aut_small.table[pi] != pi[aut_big.table]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
-    part_big = base or twisted_classes(big, aut_big)
     part_small = twisted_classes(small, aut_small)
-    mapped = np.asarray(part_small.labels)[pi]
-    pairs = np.unique(np.asarray(part_big.labels).astype(np.int64) * small.order + mapped)
+    mapped = part_small.labels[pi]
+    pairs = np.unique(base.labels * small.order + mapped)
     checks.append(
         OracleCheck(
-            "projection-classmap", params, len(pairs) == part_big.count, len(pairs), part_big.count
+            "projection-classmap", params, len(pairs) == base.count, len(pairs), base.count
         )
     )
     onto = len(np.unique(mapped))
@@ -582,53 +537,38 @@ def verify_projection(
         OracleCheck(
             "projection-bound",
             params,
-            part_big.count >= part_small.count,
-            part_big.count,
+            base.count >= part_small.count,
+            base.count,
             part_small.count,
         )
     )
     return checks
 
 
-def torsion_restriction_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
-    """Twisted-class count of the restriction to the torsion subgroup.
-
-    The subgroup is abelian, so the classes are the cosets of the image of
-    x -> x - aut(x) and counting reduces to an image size.
-    """
-    tables = group.ensure_tables()
-    digits, wt = tables["digits"], tables["wt"]
-    pcount = group.point_count
-    tidx = np.arange(group.torsion_count, dtype=np.int64) * pcount
-    images = aut.table[tidx]
-    if np.count_nonzero(images % pcount):
-        raise ValueError("automorphism does not preserve the torsion subgroup")
-    fprime = images // pcount
-    chi = ((digits - digits[fprime]) % group.modulus) @ wt
-    return group.torsion_count // len(np.unique(chi))
-
-
 def verify_restriction_bound(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition | None = None
+    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition
 ) -> list[OracleCheck]:
     """R(restriction) <= R(full map) * fixed points of the shift quotient map.
 
-    `base` is the partition of `aut`, for a caller that already counted it.
+    `base` is the partition of `aut`.  The torsion subgroup is abelian, so
+    the restriction's classes are the cosets of the image of x -> x - aut(x)
+    and counting them reduces to an image size.
     """
     params = _model_params(group, aut=aut.provenance or "anonymous")
     pcount = group.point_count
-    tidx = np.arange(group.torsion_count, dtype=np.int64) * pcount
-    preserved_bad = int(np.count_nonzero(aut.table[tidx] % pcount))
+    images = aut.table[np.arange(group.torsion_count, dtype=np.int64) * pcount]
+    preserved_bad = int(np.count_nonzero(images % pcount))
     checks = [
         OracleCheck("restriction-preserved", params, preserved_bad == 0, preserved_bad, 0)
     ]
     if preserved_bad:
         return checks
-    restricted = torsion_restriction_classes(group, aut)
-    full = (base or twisted_classes(group, aut)).count
-    sbar = aut.shift_map()
-    fixed = int(np.count_nonzero(sbar == np.arange(pcount)))
-    bound = full * fixed
+    tables = group.ensure_tables()
+    digits, wt = tables["digits"], tables["wt"]
+    chi = ((digits - digits[images // pcount]) % group.modulus) @ wt
+    restricted = group.torsion_count // len(np.unique(chi))
+    fixed = int(np.count_nonzero(aut.shift_map() == np.arange(pcount)))
+    bound = base.count * fixed
     checks.append(
         OracleCheck("restriction-bound", params, restricted <= bound, restricted, bound)
     )

@@ -6,13 +6,17 @@ acceptance gate checks it against the unit criterion.  The solve diagonalizes
 over Z with the Smith normal form.  `fixed_character_count` counts the
 characters of Z^k that a lattice map fixes, from the same Smith normal form.
 `twisted_classes_unionfind` counts twisted classes by a literal union-find
-over every pair (h, x).
+over every pair (h, x).  `multiply`, `element_to_group` and `group_to_index`
+are the elementwise group law of a finite model and its bridge to
+Z_n wr Z^k, which the vectorized translations are checked against.
 """
 
 from math import gcd, prod
 
+import numpy as np
+
 from lamptwist.finite import TwistedClassPartition
-from lamptwist.group import Torsion
+from lamptwist.group import GroupElement, Torsion
 from lamptwist.matrix import as_matrix, identity, mat_mul, mat_sub, mat_vec, transpose
 
 DEFAULT_INVERSE_RADIUS = 8
@@ -200,6 +204,37 @@ def inverse_in_box(u: Torsion, radius: int = DEFAULT_INVERSE_RADIUS) -> Torsion 
     return v
 
 
+def multiply(group, i: int, j: int) -> int:
+    """The product of model elements i and j, one coefficient slot at a time."""
+    (c1, z1), (c2, z2) = group.decode(i), group.decode(j)
+    perm = group._shift_perms[group._point_index[z1]]
+    combined = list(c1)
+    for idx, c in enumerate(c2):
+        if c:
+            tgt = perm[idx]
+            combined[tgt] = (combined[tgt] + c) % group.modulus
+    shift = tuple((a + b) % group.box for a, b in zip(z1, z2))
+    return group.encode(combined, shift)
+
+
+def element_to_group(group, index: int) -> GroupElement:
+    """The element of Z_n wr Z^k with the model element's lamps and shift, in the box."""
+    coeffs, shift = group.decode(index)
+    items = [(p, c) for p, c in zip(group.points, coeffs) if c]
+    return GroupElement(Torsion(group.modulus, group.rank, items), shift)
+
+
+def group_to_index(group, g: GroupElement) -> int:
+    """The model element that g reduces to mod the box."""
+    if g.torsion.modulus != group.modulus or g.torsion.rank != group.rank:
+        raise ValueError("element parameters do not match the model")
+    coeffs = [0] * group.point_count
+    for p, c in g.torsion.items():
+        idx = group._point_index[tuple(x % group.box for x in p)]
+        coeffs[idx] = (coeffs[idx] + c) % group.modulus
+    return group.encode(coeffs, g.shift)
+
+
 def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
     """Twisted classes of a finite model by union-find over all (h, g) pairs."""
     order = group.order
@@ -226,7 +261,7 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
     for h in range(order):
         fh = aut(group.inverse(h))
         for g in range(order):
-            union(g, group.multiply(group.multiply(h, g), fh))
+            union(g, multiply(group, multiply(group, h, g), fh))
 
     mins: dict[int, int] = {}
     for x in range(order):
@@ -235,5 +270,5 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
             mins[r] = x
     reps = sorted(mins.values())
     rank = {rep: i for i, rep in enumerate(reps)}
-    labels = tuple(rank[mins[find(x)]] for x in range(order))
-    return TwistedClassPartition(labels=labels, reps=tuple(reps), count=len(reps))
+    labels = np.array([rank[mins[find(x)]] for x in range(order)], dtype=np.int64)
+    return TwistedClassPartition(labels, np.array(reps, dtype=np.int64), len(reps))

@@ -11,10 +11,10 @@ from contextlib import contextmanager
 from lamptwist import (
     INFINITE,
     ExtNat,
+    FiniteWreathGroup,
     GroupElement,
     GroupParams,
     Torsion,
-    build_group,
     classify_r_infinity,
     crt_lift_preimage,
     descend_automorphism,
@@ -165,12 +165,12 @@ def test_criterion_6_finite_tbft():
     with criterion(6, "finite-model twisted counts match fixed classes", 60.0):
         checked = 0
         for n, m, k in FINITE_MODELS:
-            group = build_group(n, m, k, budget=10**7)
+            group = FiniteWreathGroup(n, m, k, budget=10**7)
             if group.order > 2000:
                 continue
             for f in zero_cocycle_catalog(group):
                 for tw in inner_twists(group, f):
-                    chk = verify_tbft_finite(group, tw)
+                    chk = verify_tbft_finite(group, tw, twisted_classes(group, tw))
                     assert chk.passed, chk.line()
                     checked += 1
         assert checked >= 100
@@ -180,7 +180,7 @@ def test_criterion_7_shift_invariance():
     with criterion(7, "inner shifts preserve class counts", 30.0):
         rng = random.Random(0x5EED7)
         for n, m, k in FINITE_MODELS:
-            group = build_group(n, m, k, budget=10**7)
+            group = FiniteWreathGroup(n, m, k, budget=10**7)
             if group.order <= 200:
                 shifts = list(range(group.order))
             else:
@@ -194,13 +194,13 @@ def test_criterion_7_shift_invariance():
 
 def test_criterion_8_projection_shadow():
     with criterion(8, "mod-d projection maps classes onto classes", 10.0):
-        big = build_group(15, 2, 1)
+        big = FiniteWreathGroup(15, 2, 1)
         for divisor in (3, 5):
-            small = build_group(divisor, 2, 1)
+            small = FiniteWreathGroup(divisor, 2, 1)
             for aut in zero_cocycle_automorphisms(15, 1, 2):
                 f_big = descend_automorphism(aut, big)
                 f_small = descend_automorphism(aut.induce(divisor), small)
-                checks = verify_projection(big, small, f_big, f_small)
+                checks = verify_projection(big, small, f_big, f_small, twisted_classes(big, f_big))
                 assert all(c.passed for c in checks), [c.line() for c in checks]
                 names = {c.name for c in checks}
                 assert {"projection-onto", "projection-bound"} <= names

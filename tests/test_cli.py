@@ -9,6 +9,7 @@ import time
 import pytest
 
 import lamptwist.cli as cli
+import lamptwist.finite as finite
 from lamptwist import (
     GroupParams,
     PreimageTemplate,
@@ -328,6 +329,23 @@ class TestHostileCertificate:
         assert "notes" in run_hostile(capsys, "verify", "c.json")
 
 
+class TestNestedJson:
+    # the JSON decoder recurses once per level of nesting
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000 + "]" * 200000, '{"a":' * 200000 + "0" + "}" * 200000],
+        ids=["arrays", "objects"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["reidemeister"], ["verify"], ["oracle", "3", "2", "1", "--aut"]],
+        ids=["validate", "reidemeister", "verify", "oracle"],
+    )
+    def test_deep_nesting_is_a_schema_error(self, capsys, tmp_path, argv, text):
+        (tmp_path / "deep.json").write_text(text, encoding="utf-8")
+        assert "nested too deeply" in run_hostile(capsys, *argv, "deep.json")
+
+
 class TestIntegerFields:
     # a bool, float or str where the schema has an integer is a schema error, not coerced
     @pytest.mark.parametrize(
@@ -545,10 +563,32 @@ class TestOracle:
         line = run_hostile(capsys, "oracle", "3", "2", "1")
         assert "|G| = 18" in line and "memory" in line
 
+    def test_base_partition_counted_once(self, capsys, monkeypatch, tmp_path):
+        # every check takes the automorphism's own partition from one count
+        aut = WreathAutomorphism(GroupParams(9, 1), ((-1,),), Torsion.delta(9, 1, (1,), 2))
+        fileformat.save(tmp_path / "f.json", automorphism_to_dict(aut))
+        counted = []
+        real = finite.twisted_classes
+
+        def spy(group, fin):
+            counted.append((group.modulus, fin.table.tobytes()))
+            return real(group, fin)
+
+        monkeypatch.setattr(finite, "twisted_classes", spy)
+        checks = "tbft,shift,restriction,projection"
+        code, out, _ = run(
+            capsys, "oracle", "9", "2", "1", "--aut", "f.json", "--check", checks, "--divisor", "3"
+        )
+        assert code == 0
+        for name in ("tbft", "shift-count", "restriction-bound", "projection-bound"):
+            assert f"CHECK {name} " in out
+        table = finite.descend_automorphism(aut, finite.FiniteWreathGroup(9, 2, 1)).table
+        assert counted.count((9, table.tobytes())) == 1
+
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
         monkeypatch.setattr(
-            "lamptwist.finite.verify_tbft_finite", lambda g, f, base=None: broken
+            "lamptwist.finite.verify_tbft_finite", lambda g, f, base: broken
         )
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
         assert code == 2

@@ -97,7 +97,7 @@ class TestBasics:
             as_matrix([[1, 2], [3]])
 
 
-class TestPackedProduct:
+class TestMatMul:
     """mat_mul against a term-by-term reference, entries up to 2**260."""
 
     @settings(max_examples=300, deadline=None)
