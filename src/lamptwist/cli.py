@@ -210,6 +210,7 @@ def _cmd_oracle(args) -> int:
         DEFAULT_BUDGET,
         FiniteWreathGroup,
         descend_automorphism,
+        distinct_descents,
         twisted_classes,
         verify_projection,
         verify_restriction_bound,
@@ -228,7 +229,7 @@ def _cmd_oracle(args) -> int:
     if "projection" in checks and args.divisor is None:
         raise ValueError("--check projection needs --divisor")
     if args.divisor is not None:
-        if args.divisor < 2 or args.n % args.divisor:
+        if not 2 <= args.divisor < args.n or args.n % args.divisor:
             raise ValueError(f"divisor {args.divisor} must be a nontrivial divisor of {args.n}")
 
     group = FiniteWreathGroup(args.n, args.m, args.k, budget=budget)
@@ -239,16 +240,7 @@ def _cmd_oracle(args) -> int:
 
     results = []
     try:
-        descended = []
-        seen = set()
-        for aut in sources:
-            fin = descend_automorphism(aut, group)
-            key = fin.table.tobytes()
-            if key not in seen:
-                seen.add(key)
-                descended.append((aut, fin))
-
-        for aut, fin in descended:
+        for aut, fin in distinct_descents(sources, group):
             base = twisted_classes(group, fin)  # every check counts the classes of fin
             if "tbft" in checks:
                 results.append(verify_tbft_finite(group, fin, base))

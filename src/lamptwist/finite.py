@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
 from .group import GroupParams, Torsion
-from .matrix import mat_vec
-from .automorphism import WreathAutomorphism, InvalidAutomorphism
+from .matrix import identity as identity_matrix, mat_vec
+from .automorphism import InvalidAutomorphism, WreathAutomorphism
+from .reidemeister import block_order_three
 
 DEFAULT_BUDGET = 10**6
 
@@ -261,14 +263,13 @@ def identity_automorphism(group: FiniteWreathGroup) -> FiniteAutomorphism:
 def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> FiniteAutomorphism:
     """Reduce a validated automorphism of Z_n wr Z^k to the finite model.
 
-    Requires the cocycle obstruction to vanish: for every axis i the sum of
-    the cocycle value over a full box period must reduce to zero, otherwise
-    the map is not well defined on the quotient and DescentError is raised.
+    Requires the cocycle obstruction to vanish: for every axis i the cocycle
+    value at m·e_i, its sum over a full box period, must reduce to zero,
+    otherwise the map is not well defined on the quotient and DescentError
+    is raised.
     The result is checked to be a genuine automorphism of the model.
     """
-    report = aut.validate()
-    if not report.ok:
-        raise InvalidAutomorphism("; ".join(report.failures))
+    aut._require_valid()
     if aut.params.modulus != group.modulus or aut.params.rank != group.rank:
         raise ValueError("automorphism parameters do not match the model")
     n, k, m = group.modulus, group.rank, group.box
@@ -282,11 +283,7 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
         return vec
 
     for i in range(k):
-        step = mat_vec(aut.matrix, tuple(1 if j == i else 0 for j in range(k)))
-        total = Torsion.zero(n, k)
-        for j in range(m):
-            total = total + aut.cocycle[i].shifted(tuple(j * c for c in step))
-        if any(reduce_vec(total)):
+        if any(reduce_vec(aut.cocycle_value(tuple(m if j == i else 0 for j in range(k))))):
             raise DescentError(
                 f"cocycle obstruction on axis {i} does not vanish in the box of side {m}"
             )
@@ -447,27 +444,27 @@ def verify_shift_invariance(
 ) -> list[OracleCheck]:
     """Count invariance under the inner twists by `elements`, plus the class-level bijection.
 
-    Three checks per g, in the order of `elements`.  The twists by every g
-    and every g^-1 are counted once each, a chunk at a time; of a chunk's
-    partitions only the counts and the class-map figures are kept, so memory
-    stays that of one chunk.  `base` is the partition of `aut` itself.
+    Three checks per g, in the order of `elements`.  h and h·c twist alike
+    for every central c, so one twist is counted per coset of the center
+    met by every g and g^-1, a chunk at a time; of a chunk's partitions only
+    the counts and the class-map figures are kept, so memory stays that of
+    one chunk.  `base` is the partition of `aut` itself.
     """
     elements = list(elements)
     inverse = {g: group.inverse(g) for g in elements}
-    shifted_by = {h: g for g, h in inverse.items()}  # the g whose check needs the twist by h
-    inverse.update(shifted_by)  # now x -> x^-1 on every twist counted
+    coset = _central_cosets(group, [*elements, *inverse.values()])
     counts, classmap = {}, {}
-    for chunk in _chunks(group, sorted(inverse)):
-        twists = group.translations([(h, inverse[h]) for h in chunk])[:, aut.table]
+    for chunk in _chunks(group, sorted(set(coset.values()))):
+        twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
         parts = dict(zip(chunk, _partitions(group, twists)))
-        counts.update((h, part.count) for h, part in parts.items())
-        moved = {shifted_by[h]: part for h, part in parts.items() if h in shifted_by}
+        counts.update((c, part.count) for c, part in parts.items())
+        moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}
         classmap.update(_class_maps(group, base, moved))
         del twists, parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
         params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
-        twisted, other = counts[g], counts[inverse[g]]
+        twisted, other = counts[coset[g]], counts[coset[inverse[g]]]
         pairs, onto = classmap[g]
         checks += [
             OracleCheck("shift-count", params, base.count == twisted, base.count, twisted),
@@ -475,6 +472,20 @@ def verify_shift_invariance(
             OracleCheck("shift-onto", params, onto == other, onto, other),
         ]
     return checks
+
+
+def _central_cosets(group: FiniteWreathGroup, elements: list[int]) -> dict[int, int]:
+    """Each element's coset of the center, named by its member with origin digit 0.
+
+    The center is the constant lamp configurations with zero shift, or all
+    of G when m^k = 1; subtracting the origin digit from every digit, shift
+    kept, gives the member.
+    """
+    tables = group.ensure_tables()
+    digits, wt = tables["digits"], tables["wt"]
+    t, s = np.divmod(np.array(elements, dtype=np.int64), group.point_count)
+    torsion = ((digits[t] - digits[t, :1]) % group.modulus) @ wt
+    return dict(zip(elements, (torsion * group.point_count + s).tolist()))
 
 
 def _class_maps(
@@ -578,31 +589,22 @@ def verify_restriction_bound(
 # -- catalogs ---------------------------------------------------------------------
 
 
-def default_matrix_set(k: int) -> list:
-    from .matrix import identity as identity_matrix
-    from .reidemeister import block_order_three
+def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorphism]:
+    """Single-point-unit, zero-cocycle automorphisms of Z_n wr Z^k.
 
-    mats = [identity_matrix(k), tuple(tuple(-x for x in row) for row in identity_matrix(k))]
+    The matrices are I, -I, the cyclic coordinate shift (k >= 2) and the
+    order-three block diagonal (even k).  Support points range over the box
+    [0, box)^k so every entry descends to the matching finite model.
+    Deterministic order: matrix, point, unit.
+    """
+    params = GroupParams(n, k)
+    matrices = [identity_matrix(k), tuple(tuple(-x for x in row) for row in identity_matrix(k))]
     if k >= 2:
-        mats.append(
+        matrices.append(
             tuple(tuple(1 if j == (i + 1) % k else 0 for j in range(k)) for i in range(k))
         )
     if k % 2 == 0:
-        mats.append(block_order_three(k))
-    return mats
-
-
-def zero_cocycle_automorphisms(n: int, k: int, box: int, matrices=None) -> list[WreathAutomorphism]:
-    """Single-point-unit, zero-cocycle automorphisms of Z_n wr Z^k.
-
-    Support points range over the box [0, box)^k so every entry descends to
-    the matching finite model.  Deterministic order: matrix, point, unit.
-    """
-    from math import gcd
-
-    params = GroupParams(n, k)
-    if matrices is None:
-        matrices = default_matrix_set(k)
+        matrices.append(block_order_three(k))
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return [
         WreathAutomorphism(params, matrix, Torsion.delta(n, k, point, c))
@@ -612,27 +614,22 @@ def zero_cocycle_automorphisms(n: int, k: int, box: int, matrices=None) -> list[
     ]
 
 
-def zero_cocycle_catalog(group: FiniteWreathGroup, matrices=None) -> list[FiniteAutomorphism]:
+def distinct_descents(
+    auts: Iterable[WreathAutomorphism], group: FiniteWreathGroup
+) -> list[tuple[WreathAutomorphism, FiniteAutomorphism]]:
+    """Each automorphism with its descent to `group`; of equal tables only the first is kept."""
+    first = {}
+    for aut in auts:
+        first.setdefault(descend_automorphism(aut, group), aut)
+    return [(aut, fin) for fin, aut in first.items()]
+
+
+def zero_cocycle_catalog(group: FiniteWreathGroup) -> list[FiniteAutomorphism]:
     """Descended single-point-unit automorphisms with zero cocycle, deduplicated."""
-    catalog = []
-    seen = set()
-    for aut in zero_cocycle_automorphisms(group.modulus, group.rank, group.box, matrices):
-        descended = descend_automorphism(aut, group)
-        key = descended.table.tobytes()
-        if key not in seen:
-            seen.add(key)
-            catalog.append(descended)
-    return catalog
+    auts = zero_cocycle_automorphisms(group.modulus, group.rank, group.box)
+    return [fin for _, fin in distinct_descents(auts, group)]
 
 
 def inner_twists(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
     """All inner twists of aut, deduplicated by their tables (g = identity first)."""
-    out = []
-    seen = set()
-    for g in range(group.order):
-        twisted = aut.twisted_by(g)
-        key = twisted.table.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(twisted)
-    return out
+    return list(dict.fromkeys(aut.twisted_by(g) for g in range(group.order)))

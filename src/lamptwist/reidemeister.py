@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 from .automorphism import (
     WreathAutomorphism,
+    _torsion_from_list,
+    _torsion_to_list,
     automorphism_from_dict,
     automorphism_to_dict,
 )
@@ -380,8 +382,6 @@ def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
 
 
 def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
-    from .automorphism import _torsion_to_list
-
     template = None
     if cert.template is not None:
         template = {
@@ -416,8 +416,6 @@ def _orbit_length(key: str) -> int:
 
 
 def certificate_from_dict(data: dict) -> SurjectivityCertificate:
-    from .automorphism import _torsion_from_list
-
     check_schema(data, kind=CERTIFICATE_KIND)
     try:
         aut = automorphism_from_dict(data["automorphism"])

@@ -8,25 +8,23 @@ import random
 import time
 from contextlib import contextmanager
 
-from lamptwist import (
+from lamptwist.group import GroupElement, GroupParams, Torsion, project_element
+from lamptwist.automorphism import is_group_ring_unit, twist
+from lamptwist.reidemeister import (
     INFINITE,
     ExtNat,
-    FiniteWreathGroup,
-    GroupElement,
-    GroupParams,
-    Torsion,
     classify_r_infinity,
     crt_lift_preimage,
-    descend_automorphism,
     finite_reidemeister_automorphism,
-    inner_twists,
-    is_group_ring_unit,
-    project_element,
     reidemeister_abelian,
     reidemeister_number,
     restriction_difference,
     restriction_surjectivity,
-    twist,
+)
+from lamptwist.finite import (
+    FiniteWreathGroup,
+    descend_automorphism,
+    inner_twists,
     twisted_classes,
     verify_projection,
     verify_tbft_finite,

@@ -2,11 +2,9 @@ import random
 
 import pytest
 
-from lamptwist import (
-    GroupElement,
-    GroupParams,
+from lamptwist.group import GroupElement, GroupParams, Torsion
+from lamptwist.automorphism import (
     InvalidAutomorphism,
-    Torsion,
     WreathAutomorphism,
     automorphism_from_dict,
     automorphism_to_dict,
@@ -284,7 +282,7 @@ class TestInduce:
         assert DOUBLING_5.induce(5) is DOUBLING_5
 
     def test_commutes_with_application(self):
-        from lamptwist import project_element
+        from lamptwist.group import project_element
 
         rng = random.Random(47)
         aut = WreathAutomorphism(GroupParams(45, 2), BLOCK_9.matrix, delta(45, 2, (0, 0), 2))

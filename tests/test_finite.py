@@ -5,20 +5,21 @@ import pytest
 
 import lamptwist.cli as cli
 import lamptwist.finite as finite
-from lamptwist import (
+from lamptwist.group import GroupParams, Torsion
+from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism
+from lamptwist.reidemeister import finite_reidemeister_automorphism
+from lamptwist.finite import (
     BudgetExceeded,
     DescentError,
     FiniteAutomorphism,
     FiniteWreathGroup,
-    GroupParams,
-    InvalidAutomorphism,
-    Torsion,
-    WreathAutomorphism,
+    OracleCheck,
+    TwistedClassPartition,
     descend_automorphism,
-    finite_reidemeister_automorphism,
     fixed_conjugacy_classes,
     identity_automorphism,
     inner_twists,
+    projection_index_map,
     twisted_classes,
     verify_projection,
     verify_restriction_bound,
@@ -27,7 +28,6 @@ from lamptwist import (
     zero_cocycle_automorphisms,
     zero_cocycle_catalog,
 )
-from lamptwist.finite import OracleCheck, TwistedClassPartition, projection_index_map
 from lamptwist.matrix import mat_vec
 from reference import element_to_group, group_to_index, multiply, twisted_classes_unionfind
 
@@ -259,7 +259,8 @@ class TestDescend:
 
     def test_vanishing_obstruction_descends(self):
         # coboundary cocycles always satisfy the box-period sum condition
-        from lamptwist import GroupElement, twist
+        from lamptwist.group import GroupElement
+        from lamptwist.automorphism import twist
 
         g = FiniteWreathGroup(3, 2, 1)
         gamma = GroupElement(Torsion(3, 1, [((0,), 1), ((1,), 2)]), (1,))
@@ -402,14 +403,37 @@ class TestBatchedPartitions:
         expected = verify_shift_invariance(g, f, range(g.order), base)
         expected_calls = calls[:]
         calls.clear()
-        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, g.order)[bound])
+        cosets = g.order // g.modulus  # one twist per coset of the n constant configurations
+        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, cosets)[bound])
         assert verify_shift_invariance(g, f, range(g.order), base) == expected
         assert len(calls) != len(expected_calls)  # the rows really were chunked otherwise
         rows = [row for call in calls for row in call]
         expected_rows = [row for call in expected_calls for row in call]
-        assert len(rows) == len(expected_rows) == g.order
+        assert len(rows) == len(expected_rows) == cosets
         for (table, part), (expected_table, expected_part) in zip(rows, expected_rows):
             assert table == expected_table and same_partition(part, expected_part)
+
+    @pytest.mark.parametrize(
+        "model", [(3, 2, 1), (2, 2, 2), (5, 2, 1), (3, 1, 1)], ids="{0[0]}-{0[1]}-{0[2]}".format
+    )
+    def test_central_cosets_group_equal_twists(self, monkeypatch, model):
+        # h and h' twist alike exactly when they share a coset of the center,
+        # and the shift check counts one twist per distinct table
+        g = FiniteWreathGroup(*model)
+        f = zero_cocycle_catalog(g)[-1]
+        elements = list(range(g.order))
+        coset = finite._central_cosets(g, elements)
+        by_table, by_coset = {}, {}
+        for h in elements:
+            table = f.twisted_by(h).table.astype(np.int64).tobytes()  # as the spy records it
+            assert f.twisted_by(coset[h]) == f.twisted_by(h)
+            by_table.setdefault(table, set()).add(h)
+            by_coset.setdefault(coset[h], set()).add(h)
+        assert sorted(map(sorted, by_table.values())) == sorted(map(sorted, by_coset.values()))
+        base = twisted_classes(g, f)
+        calls = spy_partitions(monkeypatch)
+        verify_shift_invariance(g, f, elements, base)
+        assert sorted(table for call in calls for table, _ in call) == sorted(by_table)
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
     def test_chunk_bound_does_not_change_shift_output(self, capsys, monkeypatch, bound):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamptwist import (
+from lamptwist.group import (
     GroupElement,
     GroupParams,
     IncompatibleParams,

@@ -5,31 +5,28 @@ import random
 
 import pytest
 
-from lamptwist import (
-    GroupParams,
+from lamptwist.group import GroupParams, Torsion
+from lamptwist.automorphism import WreathAutomorphism
+from lamptwist.reidemeister import (
     INFINITE,
     ExtNat,
     PreimageTemplate,
-    SchemaError,
-    Torsion,
-    WreathAutomorphism,
     block_order_three,
     certificate_from_dict,
     certificate_to_dict,
     classify_r_infinity,
     crt_lift_preimage,
+    default_test_points,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
     reidemeister_number,
     replay_certificate,
-    restriction_surjectivity,
-)
-from lamptwist.matrix import identity, mat_pow, mat_sub, det, random_unimodular
-from lamptwist.reidemeister import (
-    default_test_points,
     restriction_difference,
+    restriction_surjectivity,
     template_preimage,
 )
+from lamptwist.fileformat import SchemaError
+from lamptwist.matrix import identity, mat_pow, mat_sub, det, random_unimodular
 from reference import fixed_character_count, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
