@@ -18,6 +18,8 @@ from lamptwist.reidemeister import (
     SurjectivityCertificate,
     certificate_to_dict,
     default_test_points,
+    finite_reidemeister_automorphism,
+    restriction_surjectivity,
     template_preimage,
 )
 from lamptwist.finite import OracleCheck
@@ -276,6 +278,54 @@ class TestVerify:
         assert code == 2
         assert f"problem: {problem}\n" in out
         assert out.endswith("certificate rejected\n")
+
+
+def write_golden_inputs(tmp_path):
+    """The automorphism and certificate files that the `cli-*` golden runs read."""
+    certified = finite_reidemeister_automorphism(9, 2)
+    auts = {
+        "fin.json": certified,
+        "ident.json": WreathAutomorphism.identity(GroupParams(5, 2)),
+        "wide.json": WreathAutomorphism(
+            GroupParams(9, 1), ((-1,),), Torsion(9, 1, [((0,), 1), ((1,), 3)])
+        ),
+        "nonunit.json": WreathAutomorphism(
+            GroupParams(6, 1), ((-1,),), Torsion.delta(6, 1, (0,), 2)
+        ),
+    }
+    for name, aut in auts.items():
+        fileformat.save(tmp_path / name, automorphism_to_dict(aut))
+    cert = certificate_to_dict(restriction_surjectivity(certified))
+    fileformat.save(tmp_path / "cert.json", cert)
+    cert["witnesses"][0]["preimage"][0]["coeff"] += 1
+    fileformat.save(tmp_path / "tampered.json", cert)
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "name, argv, expected_code",
+        [
+            ("classify-r-infinity", ["classify", "2", "3"], 0),
+            ("classify-finite", ["classify", "5", "1"], 0),
+            ("classify-no-write", ["classify", "9", "2", "--no-write"], 0),
+            ("construct", ["construct", "25", "2"], 0),
+            ("reidemeister-certified", ["reidemeister", "fin.json"], 0),
+            ("reidemeister-skipped", ["reidemeister", "ident.json"], 0),
+            ("reidemeister-unknown", ["reidemeister", "wide.json"], 3),
+            ("validate-valid", ["validate", "fin.json"], 0),
+            ("validate-invalid", ["validate", "nonunit.json"], 2),
+            ("verify-accepted", ["verify", "cert.json"], 0),
+            ("verify-rejected", ["verify", "tampered.json"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_golden_output(self, capsys, tmp_path, name, argv, expected_code, fmt):
+        # byte-for-byte captures of every non-oracle subcommand's stdout
+        write_golden_inputs(tmp_path)
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == expected_code and err == ""
+        with gzip.open(GOLDEN / f"cli-{name}.{fmt}.gz", "rt", encoding="utf-8") as fh:
+            assert out == fh.read()
 
 
 def run_hostile(capsys, *argv):
