@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, construct, reidemeister, oracle, verify, validate.
+Each `_cmd_*` handler returns (exit code, JSON payload, text lines), and
+`main` writes the payload under `--format json` and the lines otherwise.
 Output is deterministic (no timestamps); numbers print in decimal and the
 infinite count prints as the literal `infinite`.
 
@@ -16,11 +18,7 @@ import random
 import sys
 
 from . import fileformat
-from .automorphism import (
-    InvalidAutomorphism,
-    automorphism_from_dict,
-    automorphism_to_dict,
-)
+from .automorphism import automorphism_from_dict, automorphism_to_dict
 from .reidemeister import (
     certificate_from_dict,
     certificate_to_dict,
@@ -48,71 +46,58 @@ def _load_automorphism(path: str):
     return automorphism_from_dict(data)
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(fileformat.dumps(payload))
-
-
 # -- classify / construct -------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     verdict = classify_r_infinity(args.n, args.k)
     path = None
     if not verdict.always_infinite and not args.no_write:
         path = args.out or _default_automorphism_path(args.n, args.k)
         fileformat.save(path, automorphism_to_dict(verdict.automorphism))
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "classify",
-                "modulus": verdict.modulus,
-                "rank": verdict.rank,
-                "always_infinite": verdict.always_infinite,
-                "reason": verdict.reason,
-                "reidemeister": verdict.reidemeister,
-                "automorphism_file": path,
-            }
-        )
-        return EXIT_OK
+    payload = {
+        "command": "classify",
+        "modulus": verdict.modulus,
+        "rank": verdict.rank,
+        "always_infinite": verdict.always_infinite,
+        "reason": verdict.reason,
+        "reidemeister": verdict.reidemeister,
+        "automorphism_file": path,
+    }
     group = f"Z_{verdict.modulus} wr Z^{verdict.rank}"
     if verdict.always_infinite:
-        print(f"{group}: R-infinity ({verdict.reason})")
+        lines = [f"{group}: R-infinity ({verdict.reason})"]
     else:
-        print(f"{group}: admits finite, R = {verdict.reidemeister}")
-        if path is not None:
-            print(f"automorphism file: {path}")
-    return EXIT_OK
+        lines = [f"{group}: admits finite, R = {verdict.reidemeister}"]
+    if path is not None:
+        lines.append(f"automorphism file: {path}")
+    return EXIT_OK, payload, lines
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     aut = finite_reidemeister_automorphism(args.n, args.k)
     result = reidemeister_number(aut)
     path = args.out or _default_automorphism_path(args.n, args.k)
     fileformat.save(path, automorphism_to_dict(aut))
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "construct",
-                "modulus": args.n,
-                "rank": args.k,
-                "reidemeister": result.describe(),
-                "automorphism_file": path,
-            }
-        )
-        return EXIT_OK
-    print(f"Z_{args.n} wr Z^{args.k}: constructed automorphism, R = {result.describe()}")
-    print(f"automorphism file: {path}")
-    return EXIT_OK
+    payload = {
+        "command": "construct",
+        "modulus": args.n,
+        "rank": args.k,
+        "reidemeister": result.describe(),
+        "automorphism_file": path,
+    }
+    return EXIT_OK, payload, [
+        f"Z_{args.n} wr Z^{args.k}: constructed automorphism, R = {result.describe()}",
+        f"automorphism file: {path}",
+    ]
 
 
 # -- reidemeister ----------------------------------------------------------------
 
 
-def _cmd_reidemeister(args) -> int:
+def _cmd_reidemeister(args):
     aut = _load_automorphism(args.file)
-    report = aut.validate()
-    if not report.ok:
-        raise InvalidAutomorphism("; ".join(report.failures))
+    aut._require_valid()
     result = reidemeister_number(aut)
     status = "skipped" if result.certificate is None else result.certificate.status
     if args.emit_certificate:
@@ -120,75 +105,50 @@ def _cmd_reidemeister(args) -> int:
             print("no certificate produced (lattice quotient already infinite)", file=sys.stderr)
         else:
             fileformat.save(args.emit_certificate, certificate_to_dict(result.certificate))
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "reidemeister",
-                "quotient": str(result.quotient),
-                "certificate": status,
-                "reidemeister": result.describe(),
-            }
-        )
-    else:
-        print(f"R_quotient = {result.quotient}")
-        print(f"certificate = {status}")
-        print(f"R = {result.describe()}")
-    return EXIT_UNKNOWN if result.is_unknown else EXIT_OK
+    payload = {
+        "command": "reidemeister",
+        "quotient": str(result.quotient),
+        "certificate": status,
+        "reidemeister": result.describe(),
+    }
+    lines = [f"R_quotient = {result.quotient}", f"certificate = {status}", f"R = {result.describe()}"]
+    return EXIT_UNKNOWN if result.is_unknown else EXIT_OK, payload, lines
 
 
 # -- validate / verify -----------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    data = fileformat.load(args.file)
-    aut = automorphism_from_dict(data)
-    report = aut.validate()
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "validate",
-                "matrix_unimodular": report.matrix_unimodular,
-                "u_is_unit": report.u_is_unit,
-                "cocycle_consistent": report.cocycle_consistent,
-                "failures": list(report.failures),
-                "valid": report.ok,
-            }
-        )
-        return EXIT_OK if report.ok else EXIT_VIOLATION
-    print(f"matrix_unimodular = {str(report.matrix_unimodular).lower()}")
-    print(f"u_is_unit = {str(report.u_is_unit).lower()}")
-    print(f"cocycle_consistent = {str(report.cocycle_consistent).lower()}")
-    for failure in report.failures:
-        print(f"failure: {failure}")
-    print("valid" if report.ok else "invalid")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+def _cmd_validate(args):
+    report = _load_automorphism(args.file).validate()
+    flags = {
+        "matrix_unimodular": report.matrix_unimodular,
+        "u_is_unit": report.u_is_unit,
+        "cocycle_consistent": report.cocycle_consistent,
+    }
+    payload = {"command": "validate", **flags, "failures": list(report.failures), "valid": report.ok}
+    lines = [f"{name} = {str(flag).lower()}" for name, flag in flags.items()]
+    lines += [f"failure: {failure}" for failure in report.failures]
+    lines.append("valid" if report.ok else "invalid")
+    return EXIT_OK if report.ok else EXIT_VIOLATION, payload, lines
 
 
-def _cmd_verify(args) -> int:
-    data = fileformat.load(args.file)
-    cert = certificate_from_dict(data)
+def _cmd_verify(args):
+    cert = certificate_from_dict(fileformat.load(args.file))
     failures = replay_certificate(cert)
     witnesses = sorted(cert.witnesses)
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "verify",
-                "status": cert.status,
-                "witnesses": [list(point) for point in witnesses],
-                "failures": failures,
-                "ok": not failures,
-            }
-        )
-        return EXIT_OK if not failures else EXIT_VIOLATION
-    for point in witnesses:
-        print(f"witness {point} ok" if not failures else f"witness {point} checked")
-    for failure in failures:
-        print(f"problem: {failure}")
+    payload = {
+        "command": "verify",
+        "status": cert.status,
+        "witnesses": [list(point) for point in witnesses],
+        "failures": failures,
+        "ok": not failures,
+    }
+    outcome = "checked" if failures else "ok"
+    lines = [f"witness {point} {outcome}" for point in witnesses]
+    lines += [f"problem: {failure}" for failure in failures]
     if failures:
-        print("certificate rejected")
-        return EXIT_VIOLATION
-    print(f"certificate ok ({len(witnesses)} witnesses)")
-    return EXIT_OK
+        return EXIT_VIOLATION, payload, [*lines, "certificate rejected"]
+    return EXIT_OK, payload, [*lines, f"certificate ok ({len(witnesses)} witnesses)"]
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -204,7 +164,7 @@ def _shift_elements(order: int) -> list[int]:
     return picked
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     # imported here: `finite` loads numpy, which no other subcommand needs
     from .finite import (
         DEFAULT_BUDGET,
@@ -237,6 +197,8 @@ def _cmd_oracle(args) -> int:
         sources = [_load_automorphism(args.aut)]
     else:
         sources = zero_cocycle_automorphisms(args.n, args.k, args.m)
+    if "projection" in checks:
+        small = FiniteWreathGroup(args.divisor, args.m, args.k, budget=budget)
 
     results = []
     try:
@@ -251,7 +213,6 @@ def _cmd_oracle(args) -> int:
             if "restriction" in checks:
                 results.extend(verify_restriction_bound(group, fin, base))
             if "projection" in checks:
-                small = FiniteWreathGroup(args.divisor, args.m, args.k, budget=budget)
                 small_fin = descend_automorphism(aut.induce(args.divisor), small)
                 results.extend(verify_projection(group, small, fin, small_fin, base))
     except MemoryError:
@@ -260,22 +221,16 @@ def _cmd_oracle(args) -> int:
 
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "oracle",
-                "modulus": args.n,
-                "box": args.m,
-                "rank": args.k,
-                "checks": [r.to_dict() for r in results],
-                "pass": failed == 0,
-            }
-        )
-    else:
-        for r in results:
-            print(r.line())
-        print(f"oracle: {passed} pass, {failed} fail")
-    return EXIT_OK if failed == 0 else EXIT_VIOLATION
+    payload = {
+        "command": "oracle",
+        "modulus": args.n,
+        "box": args.m,
+        "rank": args.k,
+        "checks": [r.to_dict() for r in results],
+        "pass": failed == 0,
+    }
+    lines = [r.line() for r in results] + [f"oracle: {passed} pass, {failed} fail"]
+    return EXIT_OK if failed == 0 else EXIT_VIOLATION, payload, lines
 
 
 # -- parser -----------------------------------------------------------------------
@@ -344,7 +299,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        text = "".join(f"{line}\n" for line in lines)
+        sys.stdout.write(fileformat.dumps(payload) if args.format == "json" else text)
+        return code
     except (ValueError, OSError) as exc:  # every bad-input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -633,6 +633,21 @@ class TestOracle:
         table = finite.descend_automorphism(aut, finite.FiniteWreathGroup(9, 2, 1)).table
         assert counted.count((9, table.tobytes())) == 1
 
+    def test_projection_model_built_once(self, capsys, monkeypatch):
+        # the catalog's automorphisms all project to the same Z_5 model
+        built = []
+        real = finite.FiniteWreathGroup.__init__
+
+        def spy(self, modulus, *args, **kwargs):
+            built.append(modulus)
+            real(self, modulus, *args, **kwargs)
+
+        monkeypatch.setattr(finite.FiniteWreathGroup, "__init__", spy)
+        argv = ["oracle", "25", "2", "1", "--check", "projection", "--divisor", "5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("CHECK projection-") > 2
+        assert built == [25, 5]
+
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
         monkeypatch.setattr(
