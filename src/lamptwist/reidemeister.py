@@ -203,34 +203,23 @@ def _orbit_template(aut: WreathAutomorphism) -> tuple[PreimageTemplate | None, s
 def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate:
     """Certificate that (1 - torsion restriction) hits every generator.
 
-    Certified only under the orbit-uniform argument: finite-order lattice
+    Certified exactly when the orbit template exists: finite-order lattice
     part, single-point origin image, and (1 - coeff^t) invertible for every
-    divisor t of the orbit-map order.  Outside that regime the status is
-    unknown, the certificate holds no witnesses, and its notes say why.
+    divisor t of the orbit-map order.  Every orbit length divides that
+    order, so the template yields a witness at each test point, and each is
+    verified exactly.  Without a template the status is unknown, the
+    certificate holds no witnesses, and its notes say why.
     """
     aut._require_valid()
     n, k = aut.params.modulus, aut.params.rank
-    test_points = default_test_points(k)
     template, why = _orbit_template(aut)
-    notes = [] if why is None else [why]
-
-    witnesses: dict[Point, Torsion] = {}
-    if template is not None:
-        for z in test_points:
-            sigma = template_preimage(aut, template, z)
-            if sigma is not None and restriction_difference(aut, sigma) == Torsion.delta(n, k, z):
-                witnesses[z] = sigma
-            else:
-                notes.append(f"no verified preimage for generator at {z}")
-
-    certified = bool(witnesses) and all(z in witnesses for z in test_points)
-    return SurjectivityCertificate(
-        automorphism=aut,
-        certified=certified,
-        witnesses=witnesses,
-        template=template,
-        notes=tuple(notes),
-    )
+    if template is None:
+        return SurjectivityCertificate(aut, False, {}, notes=(why,))
+    witnesses = {z: template_preimage(aut, template, z) for z in default_test_points(k)}
+    for z, sigma in witnesses.items():
+        if restriction_difference(aut, sigma) != Torsion.delta(n, k, z):
+            raise AssertionError(f"template preimage at {z} failed exact verification")
+    return SurjectivityCertificate(aut, True, witnesses, template)
 
 
 # -- constructive CRT lifting --------------------------------------------------

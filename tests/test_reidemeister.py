@@ -175,6 +175,21 @@ class TestCertificates:
         assert cert.status == "unknown" and cert.template is None
         assert cert.witnesses == {} and cert.notes == (why,)
 
+    def test_certified_with_a_witness_at_every_test_point(self):
+        aut = finite_reidemeister_automorphism(25, 2)
+        cert = restriction_surjectivity(aut)
+        assert cert.certified and cert.notes == ()
+        assert sorted(cert.witnesses) == default_test_points(2)
+
+    def test_failed_template_preimage_is_an_assertion(self, monkeypatch):
+        # a derived template always verifies; a wrong preimage would be a bug
+        monkeypatch.setattr(
+            "lamptwist.reidemeister.template_preimage",
+            lambda aut, template, z: Torsion.delta(aut.params.modulus, aut.params.rank, z),
+        )
+        with pytest.raises(AssertionError, match="failed exact verification"):
+            restriction_surjectivity(finite_reidemeister_automorphism(5, 1))
+
     def test_default_test_points(self):
         assert default_test_points(1) == [(-1,), (0,), (1,)]
         assert default_test_points(2) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
