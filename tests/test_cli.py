@@ -375,6 +375,37 @@ class TestHostileCertificate:
         fileformat.save(tmp_path / "c.json", cert)
         assert "notes" in run_hostile(capsys, "verify", "c.json")
 
+    def test_bad_status(self, capsys, tmp_path, cert):
+        cert["status"] = "bogus"
+        fileformat.save(tmp_path / "c.json", cert)
+        assert run_hostile(capsys, "verify", "c.json") == "error: bad certificate status 'bogus'"
+
+    def test_certified_without_template_rejected(self, capsys, tmp_path, cert):
+        cert["template"] = None
+        fileformat.save(tmp_path / "c.json", cert)
+        code, out, err = run(capsys, "verify", "c.json")
+        assert code == 2 and err == ""
+        assert "problem: certified certificate carries no orbit template\n" in out
+        assert out.endswith("certificate rejected\n")
+
+    def test_invalid_embedded_automorphism_rejected(self, capsys, tmp_path, cert):
+        cert["automorphism"]["matrix"] = [[2]]
+        cert.update(status="unknown", template=None, witnesses=[])
+        fileformat.save(tmp_path / "c.json", cert)
+        code, out, err = run(capsys, "verify", "c.json")
+        assert (code, out, err) == (
+            2, "problem: matrix determinant is 2, not +-1\ncertificate rejected\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"schema": 1,', "invalid JSON in c.json"), ("[1, 2]", "must be an object")],
+        ids=["not-json", "array"],
+    )
+    def test_not_a_json_object(self, capsys, tmp_path, text, message):
+        (tmp_path / "c.json").write_text(text, encoding="utf-8")
+        assert message in run_hostile(capsys, "verify", "c.json")
+
 
 class TestNestedJson:
     # the JSON decoder recurses once per level of nesting

@@ -442,7 +442,8 @@ class TestBatchedPartitions:
         expected = capsys.readouterr()
         g = FiniteWreathGroup(3, 2, 2)
         samples = cli._shift_elements(g.order)
-        rows = len(set(samples) | {g.inverse(x) for x in samples})
+        inverses = [g.inverse(x) for x in samples]
+        rows = len(set(finite._central_cosets(g, samples + inverses).values()))  # one per coset
         monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, rows)[bound])
         assert cli.main(argv) == 0
         assert capsys.readouterr() == expected
