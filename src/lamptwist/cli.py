@@ -111,7 +111,9 @@ def _cmd_reidemeister(args):
         "certificate": status,
         "reidemeister": result.describe(),
     }
-    lines = [f"R_quotient = {result.quotient}", f"certificate = {status}", f"R = {result.describe()}"]
+    lines = [
+        f"R_quotient = {result.quotient}", f"certificate = {status}", f"R = {result.describe()}"
+    ]
     return EXIT_UNKNOWN if result.is_unknown else EXIT_OK, payload, lines
 
 
@@ -125,7 +127,9 @@ def _cmd_validate(args):
         "u_is_unit": report.u_is_unit,
         "cocycle_consistent": report.cocycle_consistent,
     }
-    payload = {"command": "validate", **flags, "failures": list(report.failures), "valid": report.ok}
+    payload = {
+        "command": "validate", **flags, "failures": list(report.failures), "valid": report.ok
+    }
     lines = [f"{name} = {str(flag).lower()}" for name, flag in flags.items()]
     lines += [f"failure: {failure}" for failure in report.failures]
     lines.append("valid" if report.ok else "invalid")
@@ -147,8 +151,10 @@ def _cmd_verify(args):
     lines = [f"witness {point} {outcome}" for point in witnesses]
     lines += [f"problem: {failure}" for failure in failures]
     if failures:
-        return EXIT_VIOLATION, payload, [*lines, "certificate rejected"]
-    return EXIT_OK, payload, [*lines, f"certificate ok ({len(witnesses)} witnesses)"]
+        lines.append("certificate rejected")
+    else:
+        lines.append(f"certificate ok ({len(witnesses)} witnesses)")
+    return EXIT_VIOLATION if failures else EXIT_OK, payload, lines
 
 
 # -- oracle -----------------------------------------------------------------------

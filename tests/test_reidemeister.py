@@ -175,12 +175,6 @@ class TestCertificates:
         assert cert.status == "unknown" and cert.template is None
         assert cert.witnesses == {} and cert.notes == (why,)
 
-    def test_certified_with_a_witness_at_every_test_point(self):
-        aut = finite_reidemeister_automorphism(25, 2)
-        cert = restriction_surjectivity(aut)
-        assert cert.certified and cert.notes == ()
-        assert sorted(cert.witnesses) == default_test_points(2)
-
     def test_failed_template_preimage_is_an_assertion(self, monkeypatch):
         # a derived template always verifies; a wrong preimage would be a bug
         monkeypatch.setattr(
