@@ -178,6 +178,7 @@ def _cmd_oracle(args):
         descend_automorphism,
         distinct_descents,
         twisted_classes,
+        twisted_classes_with_conjugacy,
         verify_projection,
         verify_restriction_bound,
         verify_shift_invariance,
@@ -206,10 +207,12 @@ def _cmd_oracle(args):
     if "projection" in checks:
         small = FiniteWreathGroup(args.divisor, args.m, args.k, budget=budget)
 
+    # tbft also reads the model's ordinary classes, counted with the first partition
+    count = twisted_classes_with_conjugacy if "tbft" in checks else twisted_classes
     results = []
     try:
         for aut, fin in distinct_descents(sources, group):
-            base = twisted_classes(group, fin)  # every check counts the classes of fin
+            base = count(group, fin)  # every check counts the classes of fin
             if "tbft" in checks:
                 results.append(verify_tbft_finite(group, fin, base))
             if "shift" in checks:

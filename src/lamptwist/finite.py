@@ -16,8 +16,10 @@ That is a genuine group action, so its orbits are already the connected
 components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
 are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
 per round.  Many automorphisms of one model are counted in one propagation
-over the disjoint union of their graphs; the shift check feeds its inner
-twists to that count a bounded chunk at a time.
+over the disjoint union of their graphs: the ordinary classes that a TBFT
+check needs (the identity's row) join the count of the automorphism's own
+classes, and the shift check feeds its inner twists to that count a bounded
+chunk at a time.
 Everything here is deterministic: representatives are minimal element
 indices and class ids are their ranks.
 """
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import GroupParams, Torsion
-from .matrix import identity as identity_matrix, mat_vec
+from .matrix import identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
 from .reidemeister import block_order_three
 
@@ -220,13 +222,16 @@ class FiniteAutomorphism:
         T(x s_1 ... s_r) = T(x) T(s_1) ... T(s_r); at x = e this reads
         T(y) = T(s_1) ... T(s_r), hence T(x y) = T(x) T(y) for all x and y.
         """
-        group = self.group
+        group, table = self.group, self.table
         name = self.provenance or "map"
-        if not np.array_equal(np.sort(self.table), np.arange(group.order, dtype=np.int32)):
+        order = group.order
+        in_range = table.min() >= 0 and table.max() < order  # bincount needs it
+        if not in_range or np.any(np.bincount(table, minlength=order) != 1):
             raise InvalidAutomorphism(f"{name} is not a bijection")
         gens = group.generators()
-        lhs = self.table[group.translations([(group.identity, s) for s in gens])]
-        rhs = group.translations([(group.identity, self(s)) for s in gens])[:, self.table]
+        # rows x -> x s, then x -> x T(s), for every generator s
+        maps = group.translations([(group.identity, s) for s in [*gens, *table[gens]]])
+        lhs, rhs = table[maps[: len(gens)]], maps[len(gens) :, table]
         for s, left, right in zip(gens, lhs, rhs):
             if not np.array_equal(left, right):
                 raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
@@ -264,9 +269,11 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
     """Reduce a validated automorphism of Z_n wr Z^k to the finite model.
 
     Requires the cocycle obstruction to vanish: for every axis i the cocycle
-    value at m·e_i, its sum over a full box period, must reduce to zero,
-    otherwise the map is not well defined on the quotient and DescentError
-    is raised.
+    value at m·e_i, the sum of shift(j·M e_i) c_i over j < m, must reduce to
+    zero, otherwise the map is not well defined on the quotient and
+    DescentError is raised.  The cocycle values on the box follow from the
+    crossed-homomorphism identity corr(p + e_i) = corr(p) + shift(M p) c_i,
+    filled in lexicographic order from corr(0) = 0, all on digit vectors.
     The result is checked to be a genuine automorphism of the model.
     """
     aut._require_valid()
@@ -274,29 +281,38 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
         raise ValueError("automorphism parameters do not match the model")
     n, k, m = group.modulus, group.rank, group.box
     pcount = group.point_count
+    tables = group.ensure_tables()
 
-    def reduce_vec(t: Torsion) -> list[int]:
-        vec = [0] * pcount
+    def reduce_vec(t: Torsion) -> np.ndarray:
+        vec = np.zeros(pcount, dtype=np.int64)
         for p, c in t.items():
-            idx = group._point_index[tuple(x % m for x in p)]
-            vec[idx] = (vec[idx] + c) % n
-        return vec
+            vec[group._point_index[tuple(x % m for x in p)]] += c
+        return vec % n
 
-    for i in range(k):
-        if any(reduce_vec(aut.cocycle_value(tuple(m if j == i else 0 for j in range(k))))):
+    # the point index of M p for every box point p; strides[i] is the index of e_i
+    strides = [m ** (k - 1 - i) for i in range(k)]
+    reduced = np.array([[x % m for x in row] for row in aut.matrix], dtype=np.int64)
+    shift_map = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
+    # row p of v[moved] is v translated by M p: (z . v)[j] = v[j - z]
+    moved = tables["perms"][tables["sneg"][shift_map]]
+    steps = [reduce_vec(c)[moved] for c in aut.cocycle]  # steps[i][p] = shift(M p) c_i
+
+    for i, step in enumerate(steps):
+        if np.any(step[np.arange(m) * strides[i]].sum(axis=0) % n):
             raise DescentError(
                 f"cocycle obstruction on axis {i} does not vanish in the box of side {m}"
             )
 
-    u_rows = [reduce_vec(aut.origin_image.shifted(mat_vec(aut.matrix, p))) for p in group.points]
-    corr = [reduce_vec(aut.cocycle_value(p)) for p in group.points]
-    shift_map = [
-        group._point_index[tuple(c % m for c in mat_vec(aut.matrix, p))] for p in group.points
-    ]
+    corr = np.zeros((pcount, pcount), dtype=np.int64)
+    for q in range(1, pcount):
+        i = k - 1
+        while q // strides[i] % m == 0:  # the last axis on which point q is nonzero
+            i -= 1
+        corr[q] = (corr[q - strides[i]] + steps[i][q - strides[i]]) % n
 
-    # (c, z) -> (U c + corr[z], M z), with U the linear map whose rows are u_rows
-    tables = group.ensure_tables()
-    linear = ((tables["digits"] @ np.array(u_rows, dtype=np.int64)) % n) @ tables["wt"]
+    # (c, z) -> (U c + corr[z], M z), with U the linear map whose row p is shift(M p) u
+    u_rows = reduce_vec(aut.origin_image)[moved]
+    linear = ((tables["digits"] @ u_rows) % n) @ tables["wt"]
     added = group._torsion_maps(np.zeros(pcount, dtype=np.int64), corr)
     table = group._elements(added[None, :, linear], [shift_map])[0]
     return FiniteAutomorphism(group, table, provenance=f"descended({aut.label()})")
@@ -320,6 +336,25 @@ class TwistedClassPartition(NamedTuple):
 def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
     """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
     return _partitions(group, aut.table[None, :])[0]
+
+
+def twisted_classes_with_conjugacy(
+    group: FiniteWreathGroup, aut: FiniteAutomorphism
+) -> TwistedClassPartition:
+    """`twisted_classes` of aut, with the model's ordinary classes counted alongside.
+
+    The identity's row joins aut's in one propagation, and its partition is
+    kept as the model's `conjugacy_partition`.  Once that is known, or when
+    aut is the identity, aut's row is counted alone.
+    """
+    if group._conjugacy is not None:
+        return twisted_classes(group, aut)
+    identity = np.arange(group.order)
+    if np.array_equal(aut.table, identity):
+        group._conjugacy = twisted_classes(group, aut)
+        return group._conjugacy
+    base, group._conjugacy = _partitions(group, np.stack([aut.table, identity]))
+    return base
 
 
 def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]:
@@ -448,19 +483,26 @@ def verify_shift_invariance(
     for every central c, so one twist is counted per coset of the center
     met by every g and g^-1, a chunk at a time; of a chunk's partitions only
     the counts and the class-map figures are kept, so memory stays that of
-    one chunk.  `base` is the partition of `aut` itself.
+    one chunk.  `base` is the partition of `aut` itself, which is also the
+    twist by the center.
     """
     elements = list(elements)
     inverse = {g: group.inverse(g) for g in elements}
     coset = _central_cosets(group, [*elements, *inverse.values()])
+
+    def partitions():
+        yield {group.identity: base}
+        for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
+            twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
+            yield dict(zip(chunk, _partitions(group, twists)))
+            del twists  # freed before the next chunk is counted
+
     counts, classmap = {}, {}
-    for chunk in _chunks(group, sorted(set(coset.values()))):
-        twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
-        parts = dict(zip(chunk, _partitions(group, twists)))
+    for parts in partitions():
         counts.update((c, part.count) for c, part in parts.items())
         moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}
         classmap.update(_class_maps(group, base, moved))
-        del twists, parts, moved  # freed before the next chunk is counted
+        del parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
         params = _model_params(group, aut=aut.provenance or "anonymous", g=g)

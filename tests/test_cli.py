@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import lamptwist.cli as cli
@@ -644,18 +645,25 @@ class TestOracle:
         line = run_hostile(capsys, "oracle", "3", "2", "1")
         assert "|G| = 18" in line and "memory" in line
 
+    @staticmethod
+    def spy_counts(monkeypatch):
+        """Record every row that `finite._partitions` counts as (modulus, int64 table bytes)."""
+        counted = []
+        real = finite._partitions
+
+        def spy(group, tables):
+            counted.extend((group.modulus, t.astype(np.int64).tobytes()) for t in tables)
+            return real(group, tables)
+
+        monkeypatch.setattr(finite, "_partitions", spy)
+        return counted
+
     def test_base_partition_counted_once(self, capsys, monkeypatch, tmp_path):
-        # every check takes the automorphism's own partition from one count
+        # every check takes the automorphism's own partition from one count,
+        # and tbft's ordinary classes join that count
         aut = WreathAutomorphism(GroupParams(9, 1), ((-1,),), Torsion.delta(9, 1, (1,), 2))
         fileformat.save(tmp_path / "f.json", automorphism_to_dict(aut))
-        counted = []
-        real = finite.twisted_classes
-
-        def spy(group, fin):
-            counted.append((group.modulus, fin.table.tobytes()))
-            return real(group, fin)
-
-        monkeypatch.setattr(finite, "twisted_classes", spy)
+        counted = self.spy_counts(monkeypatch)
         checks = "tbft,shift,restriction,projection"
         code, out, _ = run(
             capsys, "oracle", "9", "2", "1", "--aut", "f.json", "--check", checks, "--divisor", "3"
@@ -663,8 +671,25 @@ class TestOracle:
         assert code == 0
         for name in ("tbft", "shift-count", "restriction-bound", "projection-bound"):
             assert f"CHECK {name} " in out
-        table = finite.descend_automorphism(aut, finite.FiniteWreathGroup(9, 2, 1)).table
+        group = finite.FiniteWreathGroup(9, 2, 1)
+        table = finite.descend_automorphism(aut, group).table.astype(np.int64)
+        identity = np.arange(group.order, dtype=np.int64)
         assert counted.count((9, table.tobytes())) == 1
+        assert counted.count((9, identity.tobytes())) == 1
+
+        counted.clear()
+        argv = ["oracle", "9", "2", "1", "--aut", "f.json", "--check", "restriction"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "CHECK restriction-bound " in out
+        assert counted == [(9, table.tobytes())]  # no ordinary classes without tbft
+
+    def test_conjugacy_counted_once_per_catalog_run(self, capsys, monkeypatch):
+        counted = self.spy_counts(monkeypatch)
+        code, out, _ = run(capsys, "oracle", "9", "2", "1", "--check", "tbft")
+        assert code == 0 and out.count("CHECK tbft ") > 2
+        identity = np.arange(finite.FiniteWreathGroup(9, 2, 1).order, dtype=np.int64)
+        assert counted.count((9, identity.tobytes())) == 1
+        assert len(counted) == len(set(counted)) == out.count("CHECK tbft ")
 
     def test_projection_model_built_once(self, capsys, monkeypatch):
         # the catalog's automorphisms all project to the same Z_5 model

@@ -1,12 +1,13 @@
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 import lamptwist.cli as cli
 import lamptwist.finite as finite
-from lamptwist.group import GroupParams, Torsion
-from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism
+from lamptwist.group import GroupElement, GroupParams, Torsion
+from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism, twist
 from lamptwist.reidemeister import finite_reidemeister_automorphism
 from lamptwist.finite import (
     BudgetExceeded,
@@ -28,7 +29,7 @@ from lamptwist.finite import (
     zero_cocycle_automorphisms,
     zero_cocycle_catalog,
 )
-from lamptwist.matrix import mat_vec
+from lamptwist.matrix import identity as identity_matrix, mat_vec
 from reference import element_to_group, group_to_index, multiply, twisted_classes_unionfind
 
 # the acceptance gate's FINITE_MODELS plus (2, 2, 2)
@@ -193,6 +194,17 @@ class TestFiniteAutomorphism:
         with pytest.raises(InvalidAutomorphism):
             FiniteAutomorphism(g, np.zeros(g.order, dtype=np.int32))
 
+    @pytest.mark.parametrize("entry", ["minus-one", "order", "duplicate"])
+    def test_out_of_range_or_repeated_entry_is_not_a_bijection(self, entry):
+        # refused as InvalidAutomorphism, never as an IndexError or bincount's ValueError
+        g = FiniteWreathGroup(3, 2, 1)
+        table = np.arange(g.order, dtype=np.int32)
+        table[7] = {"minus-one": -1, "order": g.order, "duplicate": 3}[entry]
+        with pytest.raises(InvalidAutomorphism) as info:
+            FiniteAutomorphism(g, table, provenance="bent")
+        assert type(info.value) is InvalidAutomorphism
+        assert str(info.value) == "bent is not a bijection"
+
     def test_rejects_non_homomorphism(self):
         g = FiniteWreathGroup(3, 2, 1)
         table = np.roll(np.arange(g.order, dtype=np.int32), 1)
@@ -285,13 +297,45 @@ class TestDescend:
             assert f(idx) == group_to_index(g, aut(element_to_group(g, idx)))
 
     def test_python_fallback_matches_vectorized(self):
-        for model, aut in (
+        cases = [
             ((5, 2, 1), finite_reidemeister_automorphism(5, 1)),
             ((7, 2, 2), finite_reidemeister_automorphism(7, 2)),  # above the former table cap
+        ]
+        # seeded inner twists of maps with M != I: nonzero cocycles, whose box
+        # values the reference expands with `cocycle_value` at every point
+        rng = random.Random(4127)
+        for (n, m, k), matrix in (
+            ((5, 2, 1), ((-1,),)),
+            ((7, 3, 1), ((-1,),)),
+            ((3, 4, 1), ((-1,),)),
+            ((3, 2, 2), ((1, 1), (0, 1))),
+            ((2, 3, 2), ((0, 1), (1, 0))),
         ):
+            units = [c for c in range(1, n) if gcd(c, n) == 1]
+            unit = Torsion.delta(n, k, [rng.randrange(-2, 3) for _ in range(k)], rng.choice(units))
+            sigma = Torsion(n, k, [([rng.randrange(-3, 4) for _ in range(k)], 1) for _ in range(3)])
+            gamma = GroupElement(sigma, [rng.randrange(-3, 4) for _ in range(k)])
+            aut = twist(WreathAutomorphism(GroupParams(n, k), matrix, unit), gamma)
+            assert aut.matrix != identity_matrix(k) and any(not c.is_zero() for c in aut.cocycle)
+            cases.append(((n, m, k), aut))
+        for model, aut in cases:
             g = FiniteWreathGroup(*model)
             fast = descend_automorphism(aut, g).table
             assert np.array_equal(python_descent_table(aut, g), fast)
+
+    def test_cocycle_obstruction_names_its_axis(self, monkeypatch):
+        # every consistent cocycle of rank 2 is a coboundary sigma - shift(M z) sigma,
+        # whose box sums vanish, so the axis is checked on a cocycle kept from
+        # validation: c = D[0,0] - D[1,0] on both axes sums to zero along axis 0
+        # but not along axis 1
+        n = 3
+        c = Torsion(n, 2, [((0, 0), 1), ((1, 0), -1)])
+        origin = Torsion.delta(n, 2, (0, 0))
+        aut = WreathAutomorphism(GroupParams(n, 2), ((1, 0), (0, 1)), origin, [c, c])
+        assert not aut.is_valid
+        monkeypatch.setattr(WreathAutomorphism, "_require_valid", lambda self: None)
+        with pytest.raises(DescentError, match="^cocycle obstruction on axis 1 does not vanish"):
+            descend_automorphism(aut, FiniteWreathGroup(n, 2, 2))
 
 
 class TestTwistedClasses:
@@ -403,13 +447,14 @@ class TestBatchedPartitions:
         expected = verify_shift_invariance(g, f, range(g.order), base)
         expected_calls = calls[:]
         calls.clear()
-        cosets = g.order // g.modulus  # one twist per coset of the n constant configurations
-        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, cosets)[bound])
+        # one twist per coset of the n constant configurations; the center's is f itself
+        twisted = g.order // g.modulus - 1
+        monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, twisted)[bound])
         assert verify_shift_invariance(g, f, range(g.order), base) == expected
         assert len(calls) != len(expected_calls)  # the rows really were chunked otherwise
         rows = [row for call in calls for row in call]
         expected_rows = [row for call in expected_calls for row in call]
-        assert len(rows) == len(expected_rows) == cosets
+        assert len(rows) == len(expected_rows) == twisted
         for (table, part), (expected_table, expected_part) in zip(rows, expected_rows):
             assert table == expected_table and same_partition(part, expected_part)
 
@@ -418,7 +463,7 @@ class TestBatchedPartitions:
     )
     def test_central_cosets_group_equal_twists(self, monkeypatch, model):
         # h and h' twist alike exactly when they share a coset of the center,
-        # and the shift check counts one twist per distinct table
+        # and the shift check counts one twist per distinct table but f's own
         g = FiniteWreathGroup(*model)
         f = zero_cocycle_catalog(g)[-1]
         elements = list(range(g.order))
@@ -433,7 +478,8 @@ class TestBatchedPartitions:
         base = twisted_classes(g, f)
         calls = spy_partitions(monkeypatch)
         verify_shift_invariance(g, f, elements, base)
-        assert sorted(table for call in calls for table, _ in call) == sorted(by_table)
+        counted = sorted(table for call in calls for table, _ in call)
+        assert counted == sorted(set(by_table) - {f.table.astype(np.int64).tobytes()})
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
     def test_chunk_bound_does_not_change_shift_output(self, capsys, monkeypatch, bound):
@@ -443,7 +489,8 @@ class TestBatchedPartitions:
         g = FiniteWreathGroup(3, 2, 2)
         samples = cli._shift_elements(g.order)
         inverses = [g.inverse(x) for x in samples]
-        rows = len(set(finite._central_cosets(g, samples + inverses).values()))  # one per coset
+        # one row per coset but the center's
+        rows = len(set(finite._central_cosets(g, samples + inverses).values()) - {g.identity})
         monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, rows)[bound])
         assert cli.main(argv) == 0
         assert capsys.readouterr() == expected
