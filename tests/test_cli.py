@@ -622,11 +622,11 @@ class TestOracle:
                 ["25", "2", "1", "--check", "tbft,projection", "--divisor", "5"],
             ),
             ("7-3-1-shift", ["7", "3", "1", "--check", "shift"]),
-            # the whole catalog on the model of order 2500
-            ("5-4-1-tbft-restriction", ["5", "4", "1", "--check", "tbft,restriction"]),
             # orders 50 and 64: every element is a shift sample
             ("5-2-1-shift", ["5", "2", "1", "--check", "shift"]),
             ("2-2-2-shift", ["2", "2", "2", "--check", "shift"]),
+            # the whole catalog on the model of order 2500
+            ("5-4-1-tbft-restriction", ["5", "4", "1", "--check", "tbft,restriction"]),
         ],
     )
     @pytest.mark.parametrize("fmt", ["text", "json"])
