@@ -489,20 +489,15 @@ def verify_shift_invariance(
     elements = list(elements)
     inverse = {g: group.inverse(g) for g in elements}
     coset = _central_cosets(group, [*elements, *inverse.values()])
-
-    def partitions():
-        yield {group.identity: base}
-        for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
-            twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
-            yield dict(zip(chunk, _partitions(group, twists)))
-            del twists  # freed before the next chunk is counted
-
-    counts, classmap = {}, {}
-    for parts in partitions():
+    central = {g: base for g in elements if coset[inverse[g]] == group.identity}
+    counts, classmap = {group.identity: base.count}, _class_maps(group, base, central)
+    for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
+        twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
+        parts = dict(zip(chunk, _partitions(group, twists)))
         counts.update((c, part.count) for c, part in parts.items())
         moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}
         classmap.update(_class_maps(group, base, moved))
-        del parts, moved  # freed before the next chunk is counted
+        del twists, parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
         params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
