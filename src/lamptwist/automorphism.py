@@ -192,12 +192,11 @@ class WreathAutomorphism:
             raise IncompatibleParams("torsion parameters differ from the automorphism's")
         return sigma.relabeled(self.matrix).convolve(self.origin_image)
 
-    def cocycle_value(self, z: Sequence[int], axis_order: Sequence[int] | None = None) -> Torsion:
+    def cocycle_value(self, z: Sequence[int]) -> Torsion:
         """Crossed-homomorphism extension of the basis cocycle values to z.
 
-        The expansion order of the axes is irrelevant (consequence of the
-        pairwise commutation checked by validate); `axis_order` exists so
-        tests can confirm that.
+        The axes are expanded in order; any order gives the same value, since
+        validate checks that the basis values commute pairwise.
         """
         n, k = self.params.modulus, self.params.rank
         z = tuple(int(c) for c in z)
@@ -205,7 +204,7 @@ class WreathAutomorphism:
             raise IncompatibleParams(f"shift {z} has length {len(z)}, expected {k}")
         total = Torsion.zero(n, k)
         prefix = (0,) * k
-        for i in axis_order if axis_order is not None else range(k):
+        for i in range(k):
             zi = z[i]
             if zi:
                 step = mat_vec(self.matrix, _basis(k, i))

@@ -6,10 +6,11 @@ points (lexicographic order), then the shift in base m, so that
 
     index = torsion_index * m^k + shift_index.
 
-Whole-group arrays (the translations x -> a x b, descended automorphisms,
-reductions mod a divisor) are built by numpy digit arithmetic on this
-encoding; a translation costs O(|G|) work, and no multiplication table is
-ever formed.
+The model has one arithmetic, the numpy digit tables of this encoding
+(`ensure_tables`); there is no per-element path.  Whole-group arrays (the
+translations x -> a x b, inverses, descended automorphisms, reductions mod a
+divisor) are built from them; a translation costs O(|G|) work, and no
+multiplication table is ever formed.
 
 Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
 That is a genuine group action, so its orbits are already the connected
@@ -67,63 +68,27 @@ class FiniteWreathGroup:
             raise BudgetExceeded(
                 f"box {box}^{rank} has {npoints} points; the model order exceeds any budget"
             )
-        points = list(itertools.product(range(box), repeat=rank))
-        self.points = points
+        self.points = list(itertools.product(range(box), repeat=rank))
         self.point_count = npoints
+        # the index of a box point p is p . strides: lexicographic mixed radix
+        self.strides = [box ** (rank - 1 - i) for i in range(rank)]
         self.torsion_count = modulus**npoints
         self.order = self.torsion_count * npoints
         if self.order > budget:
             raise BudgetExceeded(
                 f"|G| = {modulus}^{npoints} * {npoints} = {self.order} exceeds budget {budget}"
             )
-        self._point_index = {p: i for i, p in enumerate(points)}
-        # permutation tables for the shift action on coefficient slots
-        self._shift_perms = [
-            [self._point_index[tuple((a + b) % box for a, b in zip(p, s))] for p in points]
-            for s in points
-        ]
         self._tables = None
         self._conjugacy = None
-
-    # -- encoding ------------------------------------------------------------
-
-    def encode(self, coeffs, shift) -> int:
-        n = self.modulus
-        t = 0
-        for c in reversed(coeffs):
-            t = t * n + (c % n)
-        s = self._point_index[tuple(c % self.box for c in shift)]
-        return t * self.point_count + s
-
-    def decode(self, index: int):
-        t, s = divmod(index, self.point_count)
-        coeffs = []
-        for _ in range(self.point_count):
-            t, c = divmod(t, self.modulus)
-            coeffs.append(c)
-        return tuple(coeffs), self.points[s]
 
     @property
     def identity(self) -> int:
         return 0
 
     def generators(self) -> list[int]:
-        """Origin torsion generator plus the basis shifts."""
-        gens = [self.point_count]  # torsion digit 1 at the origin slot
-        for i in range(self.rank):
-            e = tuple(1 if j == i else 0 for j in range(self.rank))
-            if e in self._point_index:
-                gens.append(self._point_index[e])
-        return gens
-
-    def inverse(self, i: int) -> int:
-        coeffs, z = self.decode(i)
-        neg = tuple((-c) % self.box for c in z)
-        perm = self._shift_perms[self._point_index[neg]]
-        shifted = [0] * self.point_count
-        for idx, c in enumerate(coeffs):
-            shifted[perm[idx]] = c
-        return self.encode([(-c) % self.modulus for c in shifted], neg)
+        """Origin torsion generator plus the basis shifts, which are trivial when m = 1."""
+        # torsion digit 1 at the origin slot; the basis shift e_i has point index strides[i]
+        return [self.point_count, *(self.strides if self.box > 1 else [])]
 
     # -- vectorized arithmetic ---------------------------------------------------
 
@@ -136,16 +101,25 @@ class FiniteWreathGroup:
             for i in range(pcount):
                 digits[:, i] = d % n
                 d //= n
+            coords = np.array(self.points, dtype=np.int64)
+            strides = np.array(self.strides, dtype=np.int64)
             self._tables = {
                 "digits": digits,
                 "wt": n ** np.arange(pcount, dtype=np.int64),
-                "perms": np.array(self._shift_perms, dtype=np.int64),
-                "sneg": np.array(
-                    [self._point_index[tuple((-c) % self.box for c in p)] for p in self.points],
-                    dtype=np.int64,
-                ),
+                # perms[s, p] is the point index of p + s, sneg[p] that of -p
+                "perms": (coords[:, None, :] + coords) % self.box @ strides,
+                "sneg": -coords % self.box @ strides,
             }
         return self._tables
+
+    def inverses(self, elements) -> np.ndarray:
+        """The inverse of every element: (c, z)^-1 = (-((-z) . c), -z)."""
+        tables = self.ensure_tables()
+        t, s = np.divmod(np.asarray(elements, dtype=np.int64), self.point_count)
+        neg = tables["sneg"][s]
+        # slot i of -c moves to slot i - z
+        torsion = (-tables["digits"][t] % self.modulus * tables["wt"][tables["perms"][neg]]).sum(1)
+        return torsion * self.point_count + neg
 
     def _torsion_maps(self, shifts, addends) -> np.ndarray:
         """Row r sends every torsion index t to shifts[r] . c_t + addends[r].
@@ -242,7 +216,7 @@ class FiniteAutomorphism:
     def twisted_by(self, g: int) -> "FiniteAutomorphism":
         """Inner twist: conjugation by g composed after this automorphism."""
         group = self.group
-        conjugation = group.translations([(g, group.inverse(g))])[0]
+        conjugation = group.translations([(g, group.inverses([g])[0])])[0]
         return FiniteAutomorphism(
             group, conjugation[self.table], provenance=f"tw[{g}]*{self.provenance}", check=False
         )
@@ -280,17 +254,16 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
     if aut.params.modulus != group.modulus or aut.params.rank != group.rank:
         raise ValueError("automorphism parameters do not match the model")
     n, k, m = group.modulus, group.rank, group.box
-    pcount = group.point_count
+    pcount, strides = group.point_count, group.strides
     tables = group.ensure_tables()
 
     def reduce_vec(t: Torsion) -> np.ndarray:
         vec = np.zeros(pcount, dtype=np.int64)
         for p, c in t.items():
-            vec[group._point_index[tuple(x % m for x in p)]] += c
+            vec[sum(x % m * stride for x, stride in zip(p, strides))] += c
         return vec % n
 
-    # the point index of M p for every box point p; strides[i] is the index of e_i
-    strides = [m ** (k - 1 - i) for i in range(k)]
+    # the point index of M p for every box point p
     reduced = np.array([[x % m for x in row] for row in aut.matrix], dtype=np.int64)
     shift_map = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
     # row p of v[moved] is v translated by M p: (z . v)[j] = v[j - z]
@@ -367,7 +340,7 @@ def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]
     """
     order, gens = group.order, group.generators()
     rows = len(tables)
-    inverse_gens = [group.inverse(s) for s in gens]
+    inverse_gens = group.inverses(gens)
     pairs = [(s, fs) for row in tables[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
     offsets = np.arange(0, rows * order, order, dtype=np.int64)
     edges = group.translations(pairs).reshape(rows, len(gens), order)
@@ -487,12 +460,12 @@ def verify_shift_invariance(
     twist by the center.
     """
     elements = list(elements)
-    inverse = {g: group.inverse(g) for g in elements}
+    inverse = dict(zip(elements, group.inverses(elements).tolist()))
     coset = _central_cosets(group, [*elements, *inverse.values()])
     central = {g: base for g in elements if coset[inverse[g]] == group.identity}
     counts, classmap = {group.identity: base.count}, _class_maps(group, base, central)
     for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
-        twists = group.translations([(c, group.inverse(c)) for c in chunk])[:, aut.table]
+        twists = group.translations(list(zip(chunk, group.inverses(chunk))))[:, aut.table]
         parts = dict(zip(chunk, _partitions(group, twists)))
         counts.update((c, part.count) for c, part in parts.items())
         moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}

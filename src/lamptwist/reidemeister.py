@@ -471,6 +471,7 @@ def replay_certificate(cert: SurjectivityCertificate) -> list[str]:
 
     The orbit template is derived again from the automorphism, and a stored
     template must equal it: each inverse mod n is unique, so equality is exact.
+    A certificate is certified exactly when that template exists.
     """
     failures = []
     aut = cert.automorphism
@@ -486,6 +487,8 @@ def replay_certificate(cert: SurjectivityCertificate) -> list[str]:
         failures.append("certified certificate carries no orbit template")
     elif cert.template != template:
         failures.extend(_template_differences(cert.template, template, why))
+    elif not cert.certified and template is not None:
+        failures.append("certificate status is unknown, but its automorphism has a template")
     for pt, sigma in sorted(cert.witnesses.items()):
         expected = Torsion.delta(n, k, pt)
         actual = restriction_difference(aut, sigma)

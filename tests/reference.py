@@ -6,9 +6,11 @@ acceptance gate checks it against the unit criterion.  The solve diagonalizes
 over Z with the Smith normal form.  `fixed_character_count` counts the
 characters of Z^k that a lattice map fixes, from the same Smith normal form.
 `twisted_classes_unionfind` counts twisted classes by a literal union-find
-over every pair (h, x).  `multiply`, `element_to_group` and `group_to_index`
-are the elementwise group law of a finite model and its bridge to
-Z_n wr Z^k, which the vectorized translations are checked against.
+over every pair (h, x).  `encode`, `decode`, `point_index`, `multiply` and
+`inverse` are the elementwise group law of a finite model, built only from
+its public `modulus`, `box`, `rank`, `points` and `point_count`, so they share
+no code with the numpy tables they check; `element_to_group` and
+`group_to_index` bridge it to Z_n wr Z^k.
 """
 
 from math import gcd, prod
@@ -204,22 +206,52 @@ def inverse_in_box(u: Torsion, radius: int = DEFAULT_INVERSE_RADIUS) -> Torsion 
     return v
 
 
+def point_index(group, p) -> int:
+    """The position in `group.points` of the box point p, reduced mod the box."""
+    return group.points.index(tuple(x % group.box for x in p))
+
+
+def encode(group, coeffs, shift) -> int:
+    """The model index of the lamps `coeffs` (over `group.points`) and the shift."""
+    t = 0
+    for c in reversed(coeffs):
+        t = t * group.modulus + c % group.modulus
+    return t * group.point_count + point_index(group, shift)
+
+
+def decode(group, index: int):
+    """The lamps over `group.points` and the shift point of a model index."""
+    t, s = divmod(index, group.point_count)
+    coeffs = []
+    for _ in range(group.point_count):
+        t, c = divmod(t, group.modulus)
+        coeffs.append(c)
+    return tuple(coeffs), group.points[s]
+
+
 def multiply(group, i: int, j: int) -> int:
     """The product of model elements i and j, one coefficient slot at a time."""
-    (c1, z1), (c2, z2) = group.decode(i), group.decode(j)
-    perm = group._shift_perms[group._point_index[z1]]
+    (c1, z1), (c2, z2) = decode(group, i), decode(group, j)
     combined = list(c1)
-    for idx, c in enumerate(c2):
+    for p, c in zip(group.points, c2):
         if c:
-            tgt = perm[idx]
+            tgt = point_index(group, [a + b for a, b in zip(p, z1)])
             combined[tgt] = (combined[tgt] + c) % group.modulus
-    shift = tuple((a + b) % group.box for a, b in zip(z1, z2))
-    return group.encode(combined, shift)
+    return encode(group, combined, [a + b for a, b in zip(z1, z2)])
+
+
+def inverse(group, i: int) -> int:
+    """The inverse of model element i: the lamp at p goes to p - z, negated."""
+    coeffs, z = decode(group, i)
+    out = [0] * group.point_count
+    for p, c in zip(group.points, coeffs):
+        out[point_index(group, [a - b for a, b in zip(p, z)])] = -c % group.modulus
+    return encode(group, out, [-x for x in z])
 
 
 def element_to_group(group, index: int) -> GroupElement:
     """The element of Z_n wr Z^k with the model element's lamps and shift, in the box."""
-    coeffs, shift = group.decode(index)
+    coeffs, shift = decode(group, index)
     items = [(p, c) for p, c in zip(group.points, coeffs) if c]
     return GroupElement(Torsion(group.modulus, group.rank, items), shift)
 
@@ -230,9 +262,9 @@ def group_to_index(group, g: GroupElement) -> int:
         raise ValueError("element parameters do not match the model")
     coeffs = [0] * group.point_count
     for p, c in g.torsion.items():
-        idx = group._point_index[tuple(x % group.box for x in p)]
+        idx = point_index(group, p)
         coeffs[idx] = (coeffs[idx] + c) % group.modulus
-    return group.encode(coeffs, g.shift)
+    return encode(group, coeffs, g.shift)
 
 
 def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
@@ -259,7 +291,7 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
         size[ra] += size[rb]
 
     for h in range(order):
-        fh = aut(group.inverse(h))
+        fh = aut(inverse(group, h))
         for g in range(order):
             union(g, multiply(group, multiply(group, h, g), fh))
 

@@ -215,12 +215,6 @@ class TestCocycleValue:
                 w
             ).shifted(mat_vec(aut.matrix, z))
 
-    def test_axis_order_irrelevant(self):
-        gamma = GroupElement(Torsion(9, 2, [((1, 1), 2)]), (0, 1))
-        aut = twist(BLOCK_9, gamma)
-        for z in [(2, 3), (-1, 4), (-3, -2), (5, 0)]:
-            assert aut.cocycle_value(z) == aut.cocycle_value(z, axis_order=(1, 0))
-
 
 class TestComposeInverse:
     def test_frozen_composition(self):

@@ -226,6 +226,23 @@ class TestVerify:
         fileformat.save(tmp_path / "c.json", data)
         assert run(capsys, "verify", "c.json") == clean == (0, clean[1], "")
 
+    @pytest.mark.parametrize("witnesses", ["kept", "dropped"])
+    def test_unknown_status_with_template_rejected(self, capsys, tmp_path, witnesses):
+        # the template exists, so the certificate must say certified; every witness replays
+        run(capsys, "construct", "5", "2")
+        run(capsys, "reidemeister", "automorphism-n5-k2.json", "--emit-certificate", "c.json")
+        data = fileformat.load(tmp_path / "c.json")
+        assert data["template"] is not None and len(data["witnesses"]) == 5
+        data["status"] = "unknown"
+        if witnesses == "dropped":
+            data["witnesses"] = []
+        fileformat.save(tmp_path / "c.json", data)
+        code, out, err = run(capsys, "verify", "c.json")
+        assert code == 2 and err == ""
+        problem = "problem: certificate status is unknown, but its automorphism has a template"
+        assert [line for line in out.splitlines() if line.startswith("problem:")] == [problem]
+        assert out.endswith("certificate rejected\n")
+
     def test_wrong_schema(self, capsys, tmp_path):
         fileformat.save(tmp_path / "x.json", {"schema": 1, "extra": True})
         code, _, err = run(capsys, "verify", "x.json")

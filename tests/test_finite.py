@@ -30,7 +30,16 @@ from lamptwist.finite import (
     zero_cocycle_catalog,
 )
 from lamptwist.matrix import identity as identity_matrix, mat_vec
-from reference import element_to_group, group_to_index, multiply, twisted_classes_unionfind
+from reference import (
+    decode,
+    element_to_group,
+    encode,
+    group_to_index,
+    inverse,
+    multiply,
+    point_index,
+    twisted_classes_unionfind,
+)
 
 # the acceptance gate's FINITE_MODELS plus (2, 2, 2)
 REFERENCE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2), (2, 2, 2))
@@ -50,24 +59,26 @@ def reference_cayley(group):
         digits[:, i] = d % n
         d = d // n
     wt = n ** np.arange(pcount, dtype=np.int64)
-    perms = np.array(group._shift_perms, dtype=np.int64)
+    perms = np.array(
+        [[point_index(group, np.add(p, s).tolist()) for p in group.points] for s in group.points]
+    )
     tshift = (digits @ wt[perms].T).T.copy()
     tadd = ((digits[:, None, :] + digits[None, :, :]) % n) @ wt
     tneg = ((n - digits) % n) @ wt
-    sneg = np.array([group.encode([0] * pcount, tuple(-c for c in p)) for p in group.points])
+    sneg = np.array([point_index(group, [-a for a in p]) for p in group.points])
     ti = np.arange(group.order, dtype=np.int64) // pcount
     si = np.arange(group.order, dtype=np.int64) % pcount
     cayley = (
         tadd[ti[:, None], tshift[si[:, None], ti[None, :]]] * pcount
         + perms[si[:, None], si[None, :]]
     )
-    inverse = tneg[tshift[sneg[si], ti]] * pcount + sneg[si]
-    return cayley.astype(np.int32), inverse.astype(np.int32)
+    inverses = tneg[tshift[sneg[si], ti]] * pcount + sneg[si]
+    return cayley.astype(np.int32), inverses.astype(np.int32)
 
 
-def all_h_classes(cayley, inverse, aut):
+def all_h_classes(cayley, inverses, aut):
     """Twisted classes as per-element minima over the image table of every h."""
-    images = cayley[cayley, aut.table[inverse][:, None]]  # images[h, g] = (h g) aut(h^-1)
+    images = cayley[cayley, aut.table[inverses][:, None]]  # images[h, g] = (h g) aut(h^-1)
     minima = images.min(axis=0)
     reps = np.unique(minima)
     return TwistedClassPartition(np.searchsorted(reps, minima), reps, len(reps))
@@ -90,32 +101,30 @@ def python_descent_table(aut, group):
     reduced image of its point, then the cocycle correction and the reduced
     shift are applied.
     """
-    n, m, pcount = group.modulus, group.box, group.point_count
+    n, pcount = group.modulus, group.point_count
 
     def reduce_vec(t):
         vec = [0] * pcount
         for p, c in t.items():
-            idx = group._point_index[tuple(x % m for x in p)]
+            idx = point_index(group, p)
             vec[idx] = (vec[idx] + c) % n
         return vec
 
     u_rows = [reduce_vec(aut.origin_image.shifted(mat_vec(aut.matrix, p))) for p in group.points]
     corr = [reduce_vec(aut.cocycle_value(p)) for p in group.points]
-    shift_map = [
-        group._point_index[tuple(c % m for c in mat_vec(aut.matrix, p))] for p in group.points
-    ]
+    shift_map = [point_index(group, mat_vec(aut.matrix, p)) for p in group.points]
     table = np.empty(group.order, dtype=np.int32)
     for idx in range(group.order):
-        coeffs, shift = group.decode(idx)
+        coeffs, shift = decode(group, idx)
         out = [0] * pcount
         for slot, c in enumerate(coeffs):
             if c:
                 row = u_rows[slot]
                 for tgt in range(pcount):
                     out[tgt] = (out[tgt] + c * row[tgt]) % n
-        s = group._point_index[shift]
+        s = point_index(group, shift)
         out = [(a + b) % n for a, b in zip(out, corr[s])]
-        table[idx] = group.encode(out, group.points[shift_map[s]])
+        table[idx] = encode(group, out, group.points[shift_map[s]])
     return table
 
 
@@ -132,16 +141,38 @@ class TestGroupModel:
             FiniteWreathGroup(2, 9, 2)  # 81 box points
         assert FiniteWreathGroup(5, 4, 2, budget=10**13).order == 5**16 * 16
 
-    def test_encode_decode_roundtrip(self):
+    def test_reference_decode_matches_digit_tables(self):
+        # the reference's elementwise encoding against the model's digit tables
         g = FiniteWreathGroup(3, 2, 2)
+        digits = g.ensure_tables()["digits"]
         for idx in range(g.order):
-            coeffs, shift = g.decode(idx)
-            assert g.encode(coeffs, shift) == idx
+            coeffs, shift = decode(g, idx)
+            assert coeffs == tuple(digits[idx // g.point_count])
+            assert shift == g.points[idx % g.point_count]
+            assert encode(g, coeffs, shift) == idx
 
     def test_identity(self):
         g = FiniteWreathGroup(3, 2, 1)
-        coeffs, shift = g.decode(g.identity)
+        coeffs, shift = decode(g, g.identity)
         assert not any(coeffs) and shift == (0,)
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [((5, 4, 1), [4, 1]), ((3, 2, 2), [4, 2, 1]), ((2, 3, 2), [9, 3, 1]), ((3, 1, 2), [1])],
+        ids=["5-4-1", "3-2-2", "2-3-2", "3-1-2-torsion-only"],
+    )
+    def test_generators(self, model, expected):
+        # the origin torsion generator (index m^k), then e_1, ..., e_k; with m = 1
+        # every shift is trivial and the torsion generator alone generates
+        assert FiniteWreathGroup(*model).generators() == expected
+
+    @pytest.mark.parametrize(
+        "model", [*REFERENCE_MODELS, (3, 1, 2)], ids="{0[0]}-{0[1]}-{0[2]}".format
+    )
+    def test_inverses_match_reference(self, model):
+        g = FiniteWreathGroup(*model)
+        fast = g.inverses(range(g.order))
+        assert fast.tolist() == [inverse(g, i) for i in range(g.order)]
 
     def test_multiply_matches_infinite_group(self):
         rng = random.Random(61)
@@ -156,8 +187,8 @@ class TestGroupModel:
         g = FiniteWreathGroup(5, 3, 1)
         for _ in range(150):
             i = rng.randrange(g.order)
-            assert g.inverse(i) == group_to_index(g, element_to_group(g, i).inverse())
-            assert multiply(g, i, g.inverse(i)) == g.identity
+            assert inverse(g, i) == group_to_index(g, element_to_group(g, i).inverse())
+            assert multiply(g, i, inverse(g, i)) == g.identity
 
     def test_tables_agree_with_fallback(self):
         # the vectorized translations against the elementwise group law
@@ -219,7 +250,7 @@ class TestFiniteAutomorphism:
             a = rng.randrange(g.order)
             x = rng.randrange(g.order)
             tw = f.twisted_by(a)
-            assert tw(x) == multiply(g, multiply(g, a, f(x)), g.inverse(a))
+            assert tw(x) == multiply(g, multiply(g, a, f(x)), inverse(g, a))
 
     def test_rejects_swap_of_two_non_generators(self):
         # agrees with an automorphism on the generators and everywhere but two
@@ -360,16 +391,16 @@ class TestTwistedClasses:
     @pytest.mark.parametrize("model", REFERENCE_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
     def test_matches_references(self, model):
         g = FiniteWreathGroup(*model)
-        cayley, inverse = reference_cayley(g)
+        cayley, inverses = reference_cayley(g)
         rng = random.Random(89)
         for _ in range(50):
             a, b = rng.randrange(g.order), rng.randrange(g.order)
-            assert cayley[a, b] == multiply(g, a, b) and inverse[a] == g.inverse(a)
+            assert cayley[a, b] == multiply(g, a, b) and inverses[a] == inverse(g, a)
         catalog = zero_cocycle_catalog(g)
         twists = [f.twisted_by(rng.randrange(g.order)) for f in rng.sample(catalog, 4)]
         for f in catalog + twists:
             fast = twisted_classes(g, f)
-            assert same_partition(fast, all_h_classes(cayley, inverse, f))
+            assert same_partition(fast, all_h_classes(cayley, inverses, f))
             if g.order <= 81:  # the literal union-find takes |G|^2 Python steps
                 assert same_partition(fast, twisted_classes_unionfind(g, f))
 
@@ -386,7 +417,7 @@ class TestTwistedClasses:
         for _ in range(100):
             h = rng.randrange(g.order)
             x = rng.randrange(g.order)
-            moved = multiply(g, multiply(g, h, x), f(g.inverse(h)))
+            moved = multiply(g, multiply(g, h, x), f(inverse(g, h)))
             assert part.labels[moved] == part.labels[x]
 
     def test_fixed_conjugacy_identity(self):
@@ -429,11 +460,11 @@ class TestBatchedPartitions:
         auts = batch_automorphisms(g)
         batch = finite._partitions(g, np.stack([f.table for f in auts]))
         assert len(batch) == len(auts)
-        cayley, inverse = reference_cayley(g)
+        cayley, inverses = reference_cayley(g)
         for f, part in zip(auts, batch):
             assert part.labels.dtype == part.reps.dtype == np.int64 and type(part.count) is int
             assert same_partition(part, twisted_classes(g, f))
-            assert same_partition(part, all_h_classes(cayley, inverse, f))
+            assert same_partition(part, all_h_classes(cayley, inverses, f))
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
     @pytest.mark.parametrize("model", BATCH_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
@@ -488,7 +519,7 @@ class TestBatchedPartitions:
         expected = capsys.readouterr()
         g = FiniteWreathGroup(3, 2, 2)
         samples = cli._shift_elements(g.order)
-        inverses = [g.inverse(x) for x in samples]
+        inverses = g.inverses(samples).tolist()
         # one row per coset but the center's
         rows = len(set(finite._central_cosets(g, samples + inverses).values()) - {g.identity})
         monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, rows)[bound])
