@@ -50,10 +50,6 @@ class ExtNat(NamedTuple):
 
     value: int | None
 
-    @classmethod
-    def of(cls, v: int) -> "ExtNat":
-        return cls(int(v))
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
@@ -94,43 +90,25 @@ class PreimageTemplate(NamedTuple):
     coeff: int
     offset: Point
     order: int
-    inverses: tuple[tuple[int, int], ...]
-
-    def inverse_for(self, length: int) -> int | None:
-        return dict(self.inverses).get(length)
+    inverses: dict[int, int]
 
 
-class SurjectivityCertificate:
-    __slots__ = ("automorphism", "certified", "witnesses", "template", "notes")
+class SurjectivityCertificate(NamedTuple):
+    """Verdict on (1 - restriction); preimages come from the template alone.
 
-    def __init__(
-        self,
-        automorphism: WreathAutomorphism,
-        certified: bool,
-        witnesses: dict[Point, Torsion],
-        template: PreimageTemplate | None = None,
-        notes: tuple[str, ...] = (),
-    ):
-        self.automorphism = automorphism
-        self.certified = certified
-        self.witnesses = witnesses
-        self.template = template
-        self.notes = notes
+    Stored witnesses are replayed but serve no preimages: an older
+    certificate may hold some without a template.
+    """
+
+    automorphism: WreathAutomorphism
+    certified: bool
+    witnesses: dict[Point, Torsion]
+    template: PreimageTemplate | None = None
+    notes: tuple[str, ...] = ()
 
     @property
     def status(self) -> str:
         return "certified" if self.certified else "unknown"
-
-    def preimage(self, z) -> Torsion:
-        """Preimage of the generator at z (template first, stored witness second)."""
-        z = tuple(int(c) for c in z)
-        if self.template is not None:
-            sigma = template_preimage(self.automorphism, self.template, z)
-            if sigma is not None:
-                return sigma
-        if z in self.witnesses:
-            return self.witnesses[z]
-        raise ValueError(f"certificate holds no preimage for generator at {z}")
 
 
 def restriction_difference(aut: WreathAutomorphism, sigma: Torsion) -> Torsion:
@@ -150,16 +128,18 @@ def _affine_orbit(matrix, offset, z, cap):
     return None
 
 
-def template_preimage(aut: WreathAutomorphism, template: PreimageTemplate, z) -> Torsion | None:
-    """Instantiate the orbit template at z; None when the orbit length lacks an inverse."""
+def template_preimage(aut: WreathAutomorphism, template: PreimageTemplate, z) -> Torsion:
+    """Instantiate the orbit template at z.
+
+    A derived template never fails: every orbit length divides `order`, and
+    `inverses` covers every divisor.  Any other template raises ValueError.
+    """
     n, k = aut.params.modulus, aut.params.rank
     z = tuple(int(c) for c in z)
     orbit = _affine_orbit(aut.matrix, template.offset, z, template.order)
-    if orbit is None:
-        return None
-    x0 = template.inverse_for(len(orbit))
+    x0 = None if orbit is None else template.inverses.get(len(orbit))
     if x0 is None:
-        return None
+        raise ValueError(f"orbit template gives no preimage for generator at {z}")
     items = []
     c_pow = 1
     for pt in orbit:
@@ -191,13 +171,13 @@ def _orbit_template(aut: WreathAutomorphism) -> tuple[PreimageTemplate | None, s
     # it is the identity exactly when the origin's orbit closes by then
     if _affine_orbit(aut.matrix, offset, (0,) * k, order) is None:
         return None, "orbit map translation part does not close; orbits are infinite"
-    inverses = [(t, modinv((1 - pow(coeff, t, n)) % n, n)) for t in divisors(order)]
-    missing = [t for t, inv in inverses if inv is None]
+    inverses = {t: modinv((1 - pow(coeff, t, n)) % n, n) for t in divisors(order)}
+    missing = [t for t, inv in inverses.items() if inv is None]
     if missing:
         return None, (
             f"no inverse of (1 - c^t) mod {n} for orbit lengths {missing}; template incomplete"
         )
-    return PreimageTemplate(coeff % n, offset, order, tuple(inverses)), None
+    return PreimageTemplate(coeff % n, offset, order, inverses), None
 
 
 def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate:
@@ -233,10 +213,11 @@ def crt_lift_preimage(
 ) -> Torsion:
     """Preimage of the generator at z over a composite modulus n*m.
 
-    Uses a certified preimage over the first factor, measures the defect of
-    its coefficient-preserving re-embedding, and corrects with a certified
-    preimage of the defect over the second factor.  `cert_second=None`
-    handles the trivial split m=1.  The result is verified exactly.
+    Uses the orbit-template preimage over the first factor, measures the
+    defect of its coefficient-preserving re-embedding, and corrects with
+    template preimages of the defect over the second factor.
+    `cert_second=None` handles the trivial split m=1.  The result is
+    verified exactly.
     """
     big = aut.params.modulus
     k = aut.params.rank
@@ -245,15 +226,14 @@ def crt_lift_preimage(
     m = 1 if cert_second is None else cert_second.automorphism.params.modulus
     if n * m != big:
         raise ValueError(f"split {n} * {m} does not match modulus {big}")
-    if not cert_first.certified or (cert_second is not None and not cert_second.certified):
-        raise ValueError("both factor certificates must be certified")
+    if cert_first.template is None or (cert_second is not None and cert_second.template is None):
+        raise ValueError("both factor certificates must carry an orbit template")
     if cert_first.automorphism != aut.induce(n):
         raise ValueError("first certificate does not match the induced automorphism")
     if cert_second is not None and cert_second.automorphism != aut.induce(m):
         raise ValueError("second certificate does not match the induced automorphism")
 
-    eta1 = cert_first.preimage(z)
-    sigma = eta1.embedded(big)
+    sigma = template_preimage(cert_first.automorphism, cert_first.template, z).embedded(big)
     target = Torsion.delta(big, k, z)
     defect = restriction_difference(aut, sigma) - target
     if cert_second is not None:
@@ -261,7 +241,8 @@ def crt_lift_preimage(
         reduced = theta.project(m)
         eta2 = Torsion.zero(m, k)
         for pt, c in reduced.items():
-            eta2 = eta2 + cert_second.preimage(pt).scaled(c)
+            eta = template_preimage(cert_second.automorphism, cert_second.template, pt)
+            eta2 = eta2 + eta.scaled(c)
         sigma = sigma - eta2.embedded(big).scaled(n)
     if restriction_difference(aut, sigma) != target:
         raise AssertionError("lifted preimage failed exact verification")
@@ -295,6 +276,15 @@ def _orbit_multiplier(n: int) -> int:
     return x
 
 
+def _r_infinity_reason(n: int, k: int) -> str | None:
+    """The paper's reason why every automorphism has infinite R, or None if none does."""
+    if n % 2 == 0:
+        return "modulus is even"
+    if n % 3 == 0 and k % 2:
+        return "modulus divisible by 3 and rank odd"
+    return None
+
+
 def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     """An automorphism of Z_n wr Z^k with finite Reidemeister number.
 
@@ -304,7 +294,7 @@ def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     multiplier handling the 7-part separately.
     """
     params = GroupParams(n, k)
-    if n % 2 == 0 or (n % 3 == 0 and k % 2 == 1):
+    if _r_infinity_reason(n, k):
         raise ValueError(f"every automorphism of Z_{n} wr Z^{k} has infinite Reidemeister number")
     if gcd(n, 6) == 1:
         matrix = tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k))
@@ -327,10 +317,9 @@ class Classification(NamedTuple):
 def classify_r_infinity(n: int, k: int) -> Classification:
     """Decide whether every automorphism of Z_n wr Z^k has infinite Reidemeister number."""
     GroupParams(n, k)  # validates the inputs
-    if n % 2 == 0:
-        return Classification(n, k, True, reason="modulus is even")
-    if n % 3 == 0 and k % 2 == 1:
-        return Classification(n, k, True, reason="modulus divisible by 3 and rank odd")
+    reason = _r_infinity_reason(n, k)
+    if reason:
+        return Classification(n, k, True, reason=reason)
     aut = finite_reidemeister_automorphism(n, k)
     result = reidemeister_number(aut)
     if result.value is None or not result.value.is_finite:
@@ -377,7 +366,7 @@ def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
             "coeff": cert.template.coeff,
             "point": list(cert.template.offset),
             "order": cert.template.order,
-            "inverses": {str(t): inv for t, inv in cert.template.inverses},
+            "inverses": {str(t): inv for t, inv in cert.template.inverses.items()},
         }
     return {
         "schema": SCHEMA_VERSION,
@@ -419,10 +408,8 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
                 coeff=json_int(tdata["coeff"], "template coeff"),
                 offset=tuple(json_int(x, "template point coordinate") for x in tdata["point"]),
                 order=json_int(tdata["order"], "template order"),
-                inverses=tuple(sorted(
-                    (_orbit_length(t), json_int(v, "template inverse"))
-                    for t, v in tdata["inverses"].items()
-                )),
+                inverses={_orbit_length(t): json_int(v, "template inverse")
+                          for t, v in tdata["inverses"].items()},
             )
         witnesses = {}
         for entry in data.get("witnesses", []):
@@ -457,13 +444,10 @@ def _template_differences(stored, derived, why) -> list[str]:
     fields = [("coeff", stored.coeff, derived.coeff),
               ("point", stored.offset, derived.offset),
               ("order", stored.order, derived.order)]
-    got, want = dict(stored.inverses), dict(derived.inverses)
+    got, want = stored.inverses, derived.inverses
     fields += [(f"inverse for orbit length {t}", got.get(t), want.get(t))
                for t in sorted(got.keys() | want.keys())]
-    # an orbit length listed twice, say, differs in no field
-    return [f"template {name} is {a}, expected {b}" for name, a, b in fields if a != b] or [
-        "template lists its inverses differently from the derived one"
-    ]
+    return [f"template {name} is {a}, expected {b}" for name, a, b in fields if a != b]
 
 
 def replay_certificate(cert: SurjectivityCertificate) -> list[str]:

@@ -153,7 +153,7 @@ def test_criterion_5_abelian_cross_check():
             k = rng.randint(1, 4)
             mat = random_unimodular(rng, k)
             count = fixed_character_count(mat)
-            assert reidemeister_abelian(mat) == (ExtNat.of(count) if count else INFINITE)
+            assert reidemeister_abelian(mat) == (ExtNat(count) if count else INFINITE)
 
 
 FINITE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2))

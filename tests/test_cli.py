@@ -1,3 +1,4 @@
+import copy
 import gzip
 import json
 import os
@@ -249,26 +250,35 @@ class TestVerify:
         assert code == 1 and "error:" in err
 
     @staticmethod
-    def order_six_forgery():
+    def order_six(coeff, lengths):
         """n = 13, M of order 6, u = 4 D[0]: 1 - 4^6 = 0 mod 13, so no template exists.
 
-        The forgery claims one with coeff 2, which has every inverse, and
-        carries the true preimages at the test points, whose orbits have
-        lengths 1, 2 and 3.
+        Returns the automorphism and a template with coeff `coeff` that holds
+        inverses for the orbit lengths `lengths` only.
         """
         n, k, origin = 13, 3, (0, 0, 0)
         matrix = ((0, -1, 0), (1, -1, 0), (0, 0, -1))
         aut = WreathAutomorphism(GroupParams(n, k), matrix, Torsion.delta(n, k, origin, 4))
+        inverses = {t: pow(1 - coeff**t, -1, n) for t in lengths}
+        return aut, PreimageTemplate(coeff, origin, 6, inverses)
 
-        def template(coeff, lengths):
-            return PreimageTemplate(
-                coeff, origin, 6, tuple((t, pow(1 - coeff**t, -1, n)) for t in lengths)
-            )
+    @classmethod
+    def order_six_forgery(cls):
+        """A template with coeff 2, which has every inverse, claimed for `order_six`.
 
-        partial = template(4, (1, 2, 3))
-        witnesses = {z: template_preimage(aut, partial, z) for z in default_test_points(k)}
-        forged = SurjectivityCertificate(aut, True, witnesses, template(2, (1, 2, 3, 6)))
-        return certificate_to_dict(forged)
+        The forgery carries the true preimages at the test points, whose
+        orbits have lengths 1, 2 and 3.
+        """
+        aut, partial = cls.order_six(4, (1, 2, 3))
+        witnesses = {z: template_preimage(aut, partial, z) for z in default_test_points(3)}
+        _, claimed = cls.order_six(2, (1, 2, 3, 6))
+        return certificate_to_dict(SurjectivityCertificate(aut, True, witnesses, claimed))
+
+    def test_partial_template_gives_no_preimage_off_its_lengths(self):
+        # (1, 0, 1) has orbit length 6, whose inverse the partial template lacks
+        aut, partial = self.order_six(4, (1, 2, 3))
+        with pytest.raises(ValueError, match=r"no preimage for generator at \(1, 0, 1\)"):
+            template_preimage(aut, partial, (1, 0, 1))
 
     @pytest.mark.parametrize(
         "forgery, problem",
@@ -423,6 +433,73 @@ class TestHostileCertificate:
     def test_not_a_json_object(self, capsys, tmp_path, text, message):
         (tmp_path / "c.json").write_text(text, encoding="utf-8")
         assert message in run_hostile(capsys, "verify", "c.json")
+
+
+DELETED = object()
+HOSTILE_VALUES = (DELETED, None, [], {}, "x", 10**30, -1, 1.5, True)
+
+
+def json_paths(node, path=()):
+    """The path to every key and list index under a parsed JSON value."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutated(data, path, value):
+    """A copy of data whose value at path is replaced, or deleted for DELETED."""
+    data = copy.deepcopy(data)
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    if value is DELETED:
+        del target[last]
+    else:
+        target[last] = copy.deepcopy(value)
+    return data
+
+
+class TestHostileWalk:
+    # every key and list index of a real file, replaced by each hostile value in turn
+    @pytest.mark.parametrize(
+        "name, commands",
+        [
+            ("automorphism-n5-k2.json",
+             [["validate"], ["reidemeister"], ["oracle", "5", "1", "2", "--aut"]]),
+            ("c.json", [["verify"]]),
+        ],
+        ids=["automorphism", "certificate"],
+    )
+    def test_every_field_refused_or_answered(self, capsys, tmp_path, name, commands):
+        run(capsys, "construct", "5", "2")
+        run(capsys, "reidemeister", "automorphism-n5-k2.json", "--emit-certificate", "c.json")
+        original = fileformat.load(tmp_path / name)
+        bad = []
+        for path in json_paths(original):
+            for value in HOSTILE_VALUES:
+                fileformat.save(tmp_path / "m.json", mutated(original, path, value))
+                for argv in commands:
+                    start = time.perf_counter()
+                    try:
+                        code, out, err = run(capsys, *argv, "m.json")
+                    except Exception as exc:  # a traceback in the CLI
+                        code, out, err = None, "", repr(exc)
+                    seconds = time.perf_counter() - start
+                    lines = err.splitlines()
+                    refused = (code == 1 and out == "" and len(lines) == 1
+                               and lines[0].startswith("error:"))
+                    answered = code in (0, 2, 3) and "Traceback" not in err
+                    if seconds >= 2.0 or not (refused or answered):
+                        value_name = "deleted" if value is DELETED else repr(value)
+                        bad.append((argv[0], path, value_name, code, err, round(seconds, 2)))
+        assert bad == []
 
 
 class TestNestedJson:
