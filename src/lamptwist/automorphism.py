@@ -16,8 +16,7 @@ shifts through the crossed-homomorphism identity
 
 Unit detection reduces the origin image modulo every prime dividing n and
 asks for single-point support (group rings of ordered groups over fields
-have only trivial units; units lift through nilpotents).  Explicit
-inverses are produced by prime-power Hensel lifting and verified exactly.
+have only trivial units; units lift through nilpotents).
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from .matrix import (
     as_matrix,
     det,
     identity as identity_matrix,
-    inverse_unimodular,
     mat_mul,
     mat_vec,
 )
-from .modular import crt, factorize
+from .modular import factorize
 
 
 class InvalidAutomorphism(ValueError):
@@ -48,43 +46,6 @@ def is_group_ring_unit(u: Torsion) -> bool:
         if len(reduced) != 1:
             return False
     return True
-
-
-def group_ring_inverse(u: Torsion) -> Torsion:
-    """Convolution inverse of a unit, by Hensel lifting per prime power.
-
-    Raises ValueError when `u` is not a unit.  The result is verified
-    exactly; an internal failure after a positive unit test raises
-    AssertionError (it would indicate a bug, not a math failure).
-    """
-    if not is_group_ring_unit(u):
-        raise ValueError(f"{u.render()} is not a unit mod {u.modulus}")
-    n, k = u.modulus, u.rank
-    parts = []
-    for p, s in sorted(factorize(n).items()):
-        q = p**s
-        up = Torsion(q, k, u.items())
-        mod_p = [(pt, c % p) for pt, c in up.items() if c % p]
-        (point, coeff), = mod_p
-        inv0 = pow(coeff, -1, p)
-        v = Torsion.delta(q, k, tuple(-x for x in point), inv0)
-        two_delta = Torsion.delta(q, k, (0,) * k, 2)
-        precision = 1
-        while precision < s:
-            v = v.convolve(two_delta - up.convolve(v))
-            precision *= 2
-        if not up.convolve(v) == Torsion.delta(q, k, (0,) * k):
-            raise AssertionError("Hensel lifting failed on a certified unit")
-        parts.append((q, v))
-    support = sorted({pt for _, v in parts for pt, _ in v.items()})
-    items = []
-    for pt in support:
-        val, _ = crt((v.coeff(pt), q) for q, v in parts)
-        items.append((pt, val))
-    out = Torsion(n, k, items)
-    if not u.convolve(out) == Torsion.delta(n, k, (0,) * k):
-        raise AssertionError("group-ring inverse failed exact verification")
-    return out
 
 
 class ValidationReport(NamedTuple):
@@ -102,11 +63,11 @@ class WreathAutomorphism:
     """Split-form automorphism of Z_n wr Z^k.
 
     Construction only checks shapes; `validate` decides whether the data is
-    a genuine automorphism, and `apply`/`compose`/`inverse` refuse triples
-    that fail it.  Instances are immutable; cached fields are computed once.
+    a genuine automorphism, and `apply` and `compose` refuse triples that
+    fail it.  Instances are immutable; cached fields are computed once.
     """
 
-    __slots__ = ("params", "matrix", "origin_image", "cocycle", "_report", "_origin_inverse")
+    __slots__ = ("params", "matrix", "origin_image", "cocycle", "_report")
 
     def __init__(
         self,
@@ -132,7 +93,6 @@ class WreathAutomorphism:
         object.__setattr__(self, "origin_image", origin_image)
         object.__setattr__(self, "cocycle", cocycle)
         object.__setattr__(self, "_report", None)
-        object.__setattr__(self, "_origin_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WreathAutomorphism is immutable")
@@ -254,26 +214,6 @@ class WreathAutomorphism:
             self.on_torsion(other.origin_image),
             cocycle,
         )
-
-    def origin_inverse(self) -> Torsion:
-        """Cached group-ring inverse of the origin image."""
-        if self._origin_inverse is None:
-            object.__setattr__(self, "_origin_inverse", group_ring_inverse(self.origin_image))
-        return self._origin_inverse
-
-    def inverse(self) -> "WreathAutomorphism":
-        self._require_valid()
-        k = self.params.rank
-        minv = inverse_unimodular(self.matrix)
-        u_prime = self.origin_inverse().relabeled(minv)
-
-        def inv_on_torsion(sigma):
-            return sigma.relabeled(minv).convolve(u_prime)
-
-        cocycle = tuple(
-            -inv_on_torsion(self.cocycle_value(mat_vec(minv, _basis(k, i)))) for i in range(k)
-        )
-        return WreathAutomorphism(self.params, minv, u_prime, cocycle)
 
     def induce(self, divisor: int) -> "WreathAutomorphism":
         """Induced automorphism of Z_d wr Z^k for a divisor d of n."""

@@ -35,9 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import GroupParams, Torsion
-from .matrix import identity as identity_matrix
+from .matrix import ORDER_THREE_BLOCK, block_diagonal, identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
-from .reidemeister import block_order_three
 
 DEFAULT_BUDGET = 10**6
 
@@ -608,13 +607,13 @@ def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorph
     Deterministic order: matrix, point, unit.
     """
     params = GroupParams(n, k)
-    matrices = [identity_matrix(k), tuple(tuple(-x for x in row) for row in identity_matrix(k))]
+    matrices = [identity_matrix(k), block_diagonal(((-1,),), k)]
     if k >= 2:
         matrices.append(
             tuple(tuple(1 if j == (i + 1) % k else 0 for j in range(k)) for i in range(k))
         )
     if k % 2 == 0:
-        matrices.append(block_order_three(k))
+        matrices.append(block_diagonal(ORDER_THREE_BLOCK, k))
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return [
         WreathAutomorphism(params, matrix, Torsion.delta(n, k, point, c))

@@ -11,6 +11,8 @@ from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+ORDER_THREE_BLOCK: IntMatrix = ((0, 1), (-1, -1))  # order 3, det 1
+
 
 def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     mat = tuple(tuple(map(int, row)) for row in rows)
@@ -22,6 +24,15 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
 def identity(k: int) -> IntMatrix:
     zeros = (0,) * k
     return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(k))
+
+
+def block_diagonal(block: IntMatrix, k: int) -> IntMatrix:
+    """The k x k matrix with `block` repeated along its diagonal."""
+    b = len(block)
+    if k % b:
+        raise ValueError(f"a {b}x{b} block does not tile rank {k}")
+    zeros = (0,) * k
+    return tuple(zeros[:j] + tuple(row) + zeros[j + b:] for j in range(0, k, b) for row in block)
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -84,29 +95,6 @@ def det(m: IntMatrix) -> int:
 
 def is_unimodular(m: IntMatrix) -> bool:
     return len(m) == len(m[0]) and det(m) in (1, -1)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1 (adjugate route)."""
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix determinant is {d}, not a unit")
-    k = len(m)
-    if k == 1:
-        return ((d,),)
-    inv = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = tuple(
-                tuple(m[r][c] for c in range(k) if c != i) for r in range(k) if r != j
-            )
-            cof = det(minor)
-            if (i + j) & 1:
-                cof = -cof
-            row.append(cof * d)
-        inv.append(tuple(row))
-    return tuple(inv)
 
 
 def matrix_order(m: IntMatrix, cap: int = 128) -> int | None:

@@ -18,7 +18,6 @@ automorphism and rejects a certificate whose stored template differs.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .automorphism import (
@@ -31,8 +30,10 @@ from .automorphism import (
 from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
 from .group import GroupParams, Point, Torsion
 from .matrix import (
+    ORDER_THREE_BLOCK,
     IntMatrix,
     as_matrix,
+    block_diagonal,
     det,
     identity as identity_matrix,
     is_unimodular,
@@ -252,30 +253,6 @@ def crt_lift_preimage(
 # -- classification and the full pipeline --------------------------------------
 
 
-_BLOCK = ((0, 1), (-1, -1))  # order 3, det 1
-
-
-def block_order_three(rank: int) -> IntMatrix:
-    """Block-diagonal lattice map of order 3 built from 2x2 blocks (even rank)."""
-    if rank % 2:
-        raise ValueError("order-3 block matrix needs an even rank")
-    half = rank // 2
-    rows = []
-    for b in range(half):
-        for r in range(2):
-            row = [0] * rank
-            row[2 * b] = _BLOCK[r][0]
-            row[2 * b + 1] = _BLOCK[r][1]
-            rows.append(row)
-    return as_matrix(rows)
-
-
-def _orbit_multiplier(n: int) -> int:
-    """CRT multiplier: 3 mod the 7-part of n, 2 mod every other prime power."""
-    x, _ = crt((3 if p == 7 else 2, p**s) for p, s in sorted(factorize(n).items()))
-    return x
-
-
 def _r_infinity_reason(n: int, k: int) -> str | None:
     """The paper's reason why every automorphism has infinite R, or None if none does."""
     if n % 2 == 0:
@@ -288,21 +265,23 @@ def _r_infinity_reason(n: int, k: int) -> str | None:
 def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     """An automorphism of Z_n wr Z^k with finite Reidemeister number.
 
-    Exists exactly when n is odd and (n is coprime to 3 or k is even).
-    gcd(n, 6) = 1: doubling origin image with lattice inversion, any rank.
-    Otherwise (n odd, 3 | n, k even): order-3 block lattice map with a CRT
-    multiplier handling the 7-part separately.
+    Exists exactly when n is odd and (n is coprime to 3 or k is even).  The
+    lattice map repeats one block of prime order N along its diagonal: -1
+    (N = 2) when 3 does not divide n, the order-3 block otherwise.  The
+    origin image is c at the origin, where c is, modulo each prime power
+    p^s of n, the least c >= 2 with c^N != 1 (mod p).  Such a c exists
+    because p - 1 does not divide N, and then 1 - c^t is a unit mod n for
+    every orbit length t dividing N, so the orbit template exists.
     """
     params = GroupParams(n, k)
     if _r_infinity_reason(n, k):
         raise ValueError(f"every automorphism of Z_{n} wr Z^{k} has infinite Reidemeister number")
-    if gcd(n, 6) == 1:
-        matrix = tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k))
-        mult = 2
-    else:
-        matrix = block_order_three(k)
-        mult = _orbit_multiplier(n)
-    return WreathAutomorphism(params, matrix, Torsion.delta(n, k, (0,) * k, mult))
+    block, order = (((-1,),), 2) if n % 3 else (ORDER_THREE_BLOCK, 3)
+    mult, _ = crt(
+        (next(c for c in range(2, p) if pow(c, order, p) != 1), p**s)
+        for p, s in sorted(factorize(n).items())
+    )
+    return WreathAutomorphism(params, block_diagonal(block, k), Torsion.delta(n, k, (0,) * k, mult))
 
 
 class Classification(NamedTuple):

@@ -6,7 +6,10 @@ acceptance gate checks it against the unit criterion.  The solve diagonalizes
 over Z with the Smith normal form.  `fixed_character_count` counts the
 characters of Z^k that a lattice map fixes, from the same Smith normal form.
 `twisted_classes_unionfind` counts twisted classes by a literal union-find
-over every pair (h, x).  `encode`, `decode`, `point_index`, `multiply` and
+over every pair (h, x).  `group_ring_inverse` inverts a unit by Hensel
+lifting per prime power, `inverse_unimodular` inverts a lattice map by its
+adjugate, and `automorphism_inverse` combines the two; tests check
+composition against them.  `encode`, `decode`, `point_index`, `multiply` and
 `inverse` are the elementwise group law of a finite model, built only from
 its public `modulus`, `box`, `rank`, `points` and `point_count`, so they share
 no code with the numpy tables they check; `element_to_group` and
@@ -17,9 +20,11 @@ from math import gcd, prod
 
 import numpy as np
 
+from lamptwist.automorphism import WreathAutomorphism, is_group_ring_unit
 from lamptwist.finite import TwistedClassPartition
 from lamptwist.group import GroupElement, Torsion
-from lamptwist.matrix import as_matrix, identity, mat_mul, mat_sub, mat_vec, transpose
+from lamptwist.matrix import as_matrix, det, identity, mat_mul, mat_sub, mat_vec, transpose
+from lamptwist.modular import crt, factorize
 
 DEFAULT_INVERSE_RADIUS = 8
 
@@ -204,6 +209,78 @@ def inverse_in_box(u: Torsion, radius: int = DEFAULT_INVERSE_RADIUS) -> Torsion 
     if not u.convolve(v) == Torsion.delta(n, k, origin):
         raise AssertionError("box solver returned a non-inverse")
     return v
+
+
+def group_ring_inverse(u: Torsion) -> Torsion:
+    """Convolution inverse of a unit, by Hensel lifting per prime power.
+
+    Raises ValueError when `u` is not a unit.  The result is verified
+    exactly; an internal failure after a positive unit test raises
+    AssertionError (it would indicate a bug, not a math failure).
+    """
+    if not is_group_ring_unit(u):
+        raise ValueError(f"{u.render()} is not a unit mod {u.modulus}")
+    n, k = u.modulus, u.rank
+    parts = []
+    for p, s in sorted(factorize(n).items()):
+        q = p**s
+        up = Torsion(q, k, u.items())
+        mod_p = [(pt, c % p) for pt, c in up.items() if c % p]
+        (point, coeff), = mod_p
+        inv0 = pow(coeff, -1, p)
+        v = Torsion.delta(q, k, tuple(-x for x in point), inv0)
+        two_delta = Torsion.delta(q, k, (0,) * k, 2)
+        precision = 1
+        while precision < s:
+            v = v.convolve(two_delta - up.convolve(v))
+            precision *= 2
+        if not up.convolve(v) == Torsion.delta(q, k, (0,) * k):
+            raise AssertionError("Hensel lifting failed on a certified unit")
+        parts.append((q, v))
+    support = sorted({pt for _, v in parts for pt, _ in v.items()})
+    items = []
+    for pt in support:
+        val, _ = crt((v.coeff(pt), q) for q, v in parts)
+        items.append((pt, val))
+    out = Torsion(n, k, items)
+    if not u.convolve(out) == Torsion.delta(n, k, (0,) * k):
+        raise AssertionError("group-ring inverse failed exact verification")
+    return out
+
+
+def inverse_unimodular(m):
+    """Exact inverse of a matrix with determinant +-1 (adjugate route)."""
+    d = det(m)
+    if d not in (1, -1):
+        raise ValueError(f"matrix determinant is {d}, not a unit")
+    k = len(m)
+    if k == 1:
+        return ((d,),)
+    inv = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            minor = tuple(
+                tuple(m[r][c] for c in range(k) if c != i) for r in range(k) if r != j
+            )
+            cof = det(minor)
+            if (i + j) & 1:
+                cof = -cof
+            row.append(cof * d)
+        inv.append(tuple(row))
+    return tuple(inv)
+
+
+def automorphism_inverse(aut: WreathAutomorphism) -> WreathAutomorphism:
+    """The inverse automorphism; refuses a triple that fails validation."""
+    aut._require_valid()
+    minv = inverse_unimodular(aut.matrix)
+    u_prime = group_ring_inverse(aut.origin_image).relabeled(minv)
+    cocycle = tuple(
+        -aut.cocycle_value(column).relabeled(minv).convolve(u_prime)
+        for column in transpose(minv)
+    )
+    return WreathAutomorphism(aut.params, minv, u_prime, cocycle)
 
 
 def point_index(group, p) -> int:

@@ -466,6 +466,23 @@ def mutated(data, path, value):
     return data
 
 
+def hostile_fault(capsys, *argv):
+    """None when argv ends in exit 1 with one `error:` line, or in exit 0, 2 or 3
+    without a traceback, within 2 s; otherwise (exit code, stderr, seconds)."""
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+    except Exception as exc:  # a traceback in the CLI
+        code, out, err = None, "", repr(exc)
+    seconds = time.perf_counter() - start
+    lines = err.splitlines()
+    refused = code == 1 and out == "" and len(lines) == 1 and lines[0].startswith("error:")
+    answered = code in (0, 2, 3) and "Traceback" not in err
+    if seconds >= 2.0 or not (refused or answered):
+        return code, err, round(seconds, 2)
+    return None
+
+
 class TestHostileWalk:
     # every key and list index of a real file, replaced by each hostile value in turn
     @pytest.mark.parametrize(
@@ -486,19 +503,35 @@ class TestHostileWalk:
             for value in HOSTILE_VALUES:
                 fileformat.save(tmp_path / "m.json", mutated(original, path, value))
                 for argv in commands:
-                    start = time.perf_counter()
-                    try:
-                        code, out, err = run(capsys, *argv, "m.json")
-                    except Exception as exc:  # a traceback in the CLI
-                        code, out, err = None, "", repr(exc)
-                    seconds = time.perf_counter() - start
-                    lines = err.splitlines()
-                    refused = (code == 1 and out == "" and len(lines) == 1
-                               and lines[0].startswith("error:"))
-                    answered = code in (0, 2, 3) and "Traceback" not in err
-                    if seconds >= 2.0 or not (refused or answered):
+                    fault = hostile_fault(capsys, *argv, "m.json")
+                    if fault:
                         value_name = "deleted" if value is DELETED else repr(value)
-                        bad.append((argv[0], path, value_name, code, err, round(seconds, 2)))
+                        bad.append((argv[0], path, value_name, *fault))
+        assert bad == []
+
+    # the rank changed together with the matrix, the cocycle or both, with `u` stale
+    # or resized, so some fields agree with the rank and the rest of the file does not
+    @pytest.mark.parametrize("rank", [1, 3, 4])
+    def test_rank_changed_with_other_fields(self, capsys, tmp_path, rank):
+        run(capsys, "construct", "5", "2")
+        original = fileformat.load(tmp_path / "automorphism-n5-k2.json")
+        matrix = [[-1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        u = [{"coeff": 2, "point": [0] * rank}]
+        zero = [[] for _ in range(rank)]
+        term = [[{"coeff": 1, "point": [0] * rank}] for _ in range(rank)]
+        changes = [
+            {"matrix": matrix}, {"matrix": matrix, "u": u},
+            {"cocycle": zero}, {"cocycle": term}, {"cocycle": term, "u": u},
+            {"matrix": matrix, "cocycle": zero}, {"matrix": matrix, "cocycle": term},
+            {"matrix": matrix, "cocycle": term, "u": u},
+        ]
+        bad = []
+        for change in changes:
+            fileformat.save(tmp_path / "m.json", {**original, "rank": rank, **change})
+            for argv in (["validate"], ["reidemeister"], ["oracle", "5", "1", "2", "--aut"]):
+                fault = hostile_fault(capsys, *argv, "m.json")
+                if fault:
+                    bad.append((argv[0], sorted(change), *fault))
         assert bad == []
 
 

@@ -7,7 +7,6 @@ from lamptwist.matrix import (
     as_matrix,
     det,
     identity,
-    inverse_unimodular,
     is_unimodular,
     mat_mul,
     mat_pow,
@@ -19,7 +18,7 @@ from lamptwist.matrix import (
 )
 
 import reference
-from reference import reference_smith_normal_form
+from reference import inverse_unimodular, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
 

@@ -10,7 +10,6 @@ from lamptwist.automorphism import WreathAutomorphism
 from lamptwist.reidemeister import (
     INFINITE,
     ExtNat,
-    block_order_three,
     certificate_from_dict,
     certificate_to_dict,
     classify_r_infinity,
@@ -25,7 +24,8 @@ from lamptwist.reidemeister import (
     template_preimage,
 )
 from lamptwist.fileformat import SchemaError
-from lamptwist.matrix import identity, mat_pow, mat_sub, det, random_unimodular
+from lamptwist.modular import crt, factorize
+from lamptwist.matrix import block_diagonal, identity, mat_pow, mat_sub, det, random_unimodular
 from reference import fixed_character_count, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
@@ -72,14 +72,14 @@ class TestLatticeCounts:
 class TestBlockMatrix:
     def test_order_three(self):
         for k in (2, 4, 6):
-            m = block_order_three(k)
+            m = block_diagonal(BLOCK, k)
             assert mat_pow(m, 3) == identity(k)
             assert mat_pow(m, 1) != identity(k)
             assert det(mat_sub(identity(k), m)) == 3 ** (k // 2)
 
     def test_odd_rank_rejected(self):
         with pytest.raises(ValueError):
-            block_order_three(3)
+            block_diagonal(BLOCK, 3)
 
 
 class TestConstructions:
@@ -108,6 +108,23 @@ class TestConstructions:
         assert m63 == 38 and m63 % 7 == 3 and m63 % 9 == 2
         for n in (9, 27, 45):
             assert finite_reidemeister_automorphism(n, 2).origin_image.coeff((0, 0)) == 2
+
+        # the least c with c^N != 1 mod each p agrees with the hand-made rule: 2 when
+        # 3 does not divide n, else 3 mod the 7-part of n and 2 mod every other prime power
+        def hand_made(n):
+            if n % 3:
+                return 2
+            return crt((3 if p == 7 else 2, p**s) for p, s in sorted(factorize(n).items()))[0]
+
+        checked = 0
+        for n in range(3, 500, 2):
+            for k in (1, 2):
+                if n % 3 == 0 and k % 2:
+                    continue
+                aut = finite_reidemeister_automorphism(n, k)
+                assert aut.origin_image == Torsion.delta(n, k, (0,) * k, hand_made(n))
+                checked += 1
+        assert checked == 415
 
 
 class TestCertificates:
