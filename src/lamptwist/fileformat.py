@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = 1
 
@@ -29,8 +30,48 @@ def check_schema(data: dict, kind: str | None = None) -> None:
 
 
 def dumps(obj) -> str:
-    """Canonical serialization: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, fixed layout, trailing newline.
+
+    The bytes are those of `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`,
+    written without the stdlib's pure-Python indenting encoder.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the canonical text of obj; `newline` is a newline plus the current indent."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # Floats, bools, None, non-str keys and unsupported types: the stdlib's own text.
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def save(path, obj) -> None:

@@ -14,6 +14,7 @@ integers and torsion coefficients live in Z_n.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
+from operator import add, mul
 
 Point = tuple[int, ...]
 
@@ -78,19 +79,29 @@ class Torsion:
         acc: dict[Point, int] = {}
         pairs = items.items() if isinstance(items, Mapping) else items
         for point, coeff in pairs:
-            pt = tuple(int(c) for c in point)
+            pt = tuple(map(int, point))
             if len(pt) != rank:
                 raise IncompatibleParams(
                     f"support point {pt} has length {len(pt)}, expected rank {rank}"
                 )
-            c = (acc.get(pt, 0) + int(coeff)) % modulus
-            if c:
-                acc[pt] = c
-            elif pt in acc:
-                del acc[pt]
+            acc[pt] = acc.get(pt, 0) + int(coeff)
         self.modulus = modulus
         self.rank = rank
-        self._items = tuple(sorted(acc.items()))
+        self._items = self._canonical(modulus, rank, acc)._items
+
+    @classmethod
+    def _canonical(cls, modulus: int, rank: int, acc: dict[Point, int]) -> "Torsion":
+        """The canonical form of a trusted dict of rank-length int points to int coefficients.
+
+        Coefficients are reduced mod `modulus`, zero terms dropped and the
+        support sorted.  Nothing is validated: outside input goes through
+        `__init__`, which validates and then lands here.
+        """
+        t = object.__new__(cls)
+        t.modulus = modulus
+        t.rank = rank
+        t._items = tuple(sorted([(p, r) for p, c in acc.items() if (r := c % modulus)]))
+        return t
 
     @classmethod
     def zero(cls, modulus: int, rank: int) -> "Torsion":
@@ -123,35 +134,45 @@ class Torsion:
 
     def __add__(self, other: "Torsion") -> "Torsion":
         _check_same(self, other)
-        return Torsion(self.modulus, self.rank, list(self._items) + list(other._items))
+        acc = dict(self._items)
+        for p, c in other._items:
+            acc[p] = acc.get(p, 0) + c
+        return Torsion._canonical(self.modulus, self.rank, acc)
 
     def __neg__(self) -> "Torsion":
-        return Torsion(self.modulus, self.rank, [(p, -c) for p, c in self._items])
+        return Torsion._canonical(self.modulus, self.rank, {p: -c for p, c in self._items})
 
     def __sub__(self, other: "Torsion") -> "Torsion":
-        return self + (-other)
+        _check_same(self, other)
+        acc = dict(self._items)
+        for p, c in other._items:
+            acc[p] = acc.get(p, 0) - c
+        return Torsion._canonical(self.modulus, self.rank, acc)
 
     def scaled(self, factor: int) -> "Torsion":
-        return Torsion(self.modulus, self.rank, [(p, c * factor) for p, c in self._items])
+        factor = int(factor)
+        return Torsion._canonical(self.modulus, self.rank, {p: c * factor for p, c in self._items})
 
     def shifted(self, z: Iterable[int]) -> "Torsion":
         """Translation action: every support point moves by z."""
         zz = tuple(int(c) for c in z)
         if len(zz) != self.rank:
             raise IncompatibleParams(f"shift {zz} has length {len(zz)}, expected {self.rank}")
-        return Torsion(
+        return Torsion._canonical(
             self.modulus,
             self.rank,
-            [(tuple(a + b for a, b in zip(p, zz)), c) for p, c in self._items],
+            {tuple(map(add, p, zz)): c for p, c in self._items},
         )
 
     def relabeled(self, matrix) -> "Torsion":
         """Support points mapped through an integer matrix (rows of tuples)."""
-        out = []
+        if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
+            raise IncompatibleParams(f"relabeling matrix must be {self.rank}x{self.rank}")
+        acc: dict[Point, int] = {}
         for p, c in self._items:
-            q = tuple(sum(row[j] * p[j] for j in range(self.rank)) for row in matrix)
-            out.append((q, c))
-        return Torsion(self.modulus, self.rank, out)
+            q = tuple([sum(map(mul, row, p)) for row in matrix])
+            acc[q] = acc.get(q, 0) + c
+        return Torsion._canonical(self.modulus, self.rank, acc)
 
     def convolve(self, other: "Torsion") -> "Torsion":
         """Group-ring product in Z_n[Z^k]."""
@@ -159,9 +180,9 @@ class Torsion:
         acc: dict[Point, int] = {}
         for p, c in self._items:
             for q, d in other._items:
-                r = tuple(a + b for a, b in zip(p, q))
+                r = tuple(map(add, p, q))
                 acc[r] = acc.get(r, 0) + c * d
-        return Torsion(self.modulus, self.rank, acc)
+        return Torsion._canonical(self.modulus, self.rank, acc)
 
     # -- changes of modulus ------------------------------------------------
 
@@ -169,22 +190,22 @@ class Torsion:
         """Coefficients reduced mod a divisor of the modulus (zero terms drop)."""
         if divisor < 2 or self.modulus % divisor:
             raise ValueError(f"divisor {divisor} does not divide modulus {self.modulus}")
-        return Torsion(divisor, self.rank, self._items)
+        return Torsion._canonical(divisor, self.rank, dict(self._items))
 
     def embedded(self, new_modulus: int) -> "Torsion":
         """Coefficient-preserving inclusion into a larger modulus (not a ring map)."""
-        if new_modulus % self.modulus:
+        if new_modulus < 2 or new_modulus % self.modulus:
             raise ValueError(f"{new_modulus} is not a multiple of {self.modulus}")
-        return Torsion(new_modulus, self.rank, self._items)
+        return Torsion._canonical(new_modulus, self.rank, dict(self._items))
 
     def exact_div(self, factor: int) -> "Torsion":
         """Divide every coefficient by a factor that must divide each exactly."""
-        out = []
+        acc: dict[Point, int] = {}
         for p, c in self._items:
             if c % factor:
                 raise ValueError(f"coefficient {c} at {p} is not divisible by {factor}")
-            out.append((p, c // factor))
-        return Torsion(self.modulus, self.rank, out)
+            acc[p] = c // factor
+        return Torsion._canonical(self.modulus, self.rank, acc)
 
     # -- plumbing ----------------------------------------------------------
 

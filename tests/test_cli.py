@@ -887,7 +887,9 @@ import lamptwist.cli as cli
 loaded = []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    loaded.append([argv[0], code, "numpy" in sys.modules, "lamptwist.finite" in sys.modules])
+    loaded.append([
+        argv[0], code, *(m in sys.modules for m in ("numpy", "lamptwist.finite", "numpy.ma"))
+    ])
 print(json.dumps(loaded))
 """
 
@@ -948,13 +950,22 @@ class TestStartup:
         ]
         loaded = run_fresh(tmp_path, NUMPY_FREE_SCRIPT, json.dumps(argvs))
         assert loaded == [
-            ["classify", 0, False, False],
-            ["construct", 0, False, False],
-            ["reidemeister", 0, False, False],
-            ["verify", 0, False, False],
-            ["validate", 0, False, False],
-            ["oracle", 0, True, True],
+            ["classify", 0, False, False, False],
+            ["construct", 0, False, False, False],
+            ["reidemeister", 0, False, False, False],
+            ["verify", 0, False, False, False],
+            ["validate", 0, False, False, False],
+            ["oracle", 0, True, True, False],
         ]
+
+    def test_oracle_skips_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on first use; the oracle counts distinct labels without it
+        argvs = [
+            ["oracle", "3", "2", "1", "--check", "tbft,shift,restriction"],
+            ["oracle", "25", "2", "1", "--check", "projection", "--divisor", "5"],
+        ]
+        loaded = run_fresh(tmp_path, NUMPY_FREE_SCRIPT, json.dumps(argvs))
+        assert loaded == [["oracle", 0, True, True, False]] * 2
 
     def test_numpy_free_commands_skip_dataclasses_and_inspect(self, tmp_path):
         argvs = [

@@ -170,3 +170,99 @@ def test_shift_action_distributes(a, b):
     z = (2, -1)
     assert (a + b).shifted(z) == a.shifted(z) + b.shifted(z)
     assert a.convolve(b).shifted(z) == a.shifted(z).convolve(b)
+
+
+# Every internal operation against the public constructor on the same raw terms.
+N12 = 12
+wide_torsions = st.builds(
+    lambda items: Torsion(N12, 2, items),
+    st.lists(st.tuples(points, st.integers(-30, 30)), max_size=5),
+)
+matrices = st.tuples(*[st.tuples(st.integers(-2, 2), st.integers(-2, 2))] * 2)
+
+
+def operation_cases(a, b, factor, z, matrix):
+    """(name, result, modulus, raw terms) for each of the ten internal operations."""
+    ai, bi = list(a.items()), list(b.items())
+    tripled = a.scaled(3)  # every coefficient divisible by 3, since 3 | 12
+    return [
+        ("add", a + b, N12, ai + bi),
+        ("neg", -a, N12, [(p, -c) for p, c in ai]),
+        ("sub", a - b, N12, ai + [(p, -c) for p, c in bi]),
+        ("scaled", a.scaled(factor), N12, [(p, c * factor) for p, c in ai]),
+        ("shifted", a.shifted(z), N12, [((p[0] + z[0], p[1] + z[1]), c) for p, c in ai]),
+        (
+            "relabeled",
+            a.relabeled(matrix),
+            N12,
+            [(tuple(r[0] * p[0] + r[1] * p[1] for r in matrix), c) for p, c in ai],
+        ),
+        (
+            "convolve",
+            a.convolve(b),
+            N12,
+            [((p[0] + q[0], p[1] + q[1]), c * d) for p, c in ai for q, d in bi],
+        ),
+        ("project", a.project(4), 4, ai),
+        ("embedded", a.embedded(36), 36, ai),
+        ("exact_div", tripled.exact_div(3), N12, [(p, c // 3) for p, c in tripled.items()]),
+    ]
+
+
+def assert_canonical(t, modulus, terms):
+    items = t.items()
+    assert list(items) == sorted(items)
+    assert len({p for p, _ in items}) == len(items)
+    assert all(1 <= c < modulus for _, c in items)
+    assert t.modulus == modulus and t.rank == 2
+    assert t == Torsion(modulus, 2, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_torsions, wide_torsions, st.integers(-30, 30), points, matrices)
+def test_internal_operations_give_canonical_form(a, b, factor, z, matrix):
+    for _, result, modulus, terms in operation_cases(a, b, factor, z, matrix):
+        assert_canonical(result, modulus, terms)
+
+
+class TestInternalOperations:
+    a = Torsion(N12, 2, [((0, 0), 5), ((1, -1), -7), ((-2, 3), 6)])
+
+    def test_cancellation_to_zero(self):
+        a = self.a
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        assert a.scaled(N12).is_zero() and a.scaled(-N12).is_zero()
+        assert Torsion(N12, 2, [((0, 0), 4), ((1, 1), 8)]).project(4).is_zero()
+        # the singular matrix folds (0, 0) and (1, -1) onto one point: 5 - 7 + 6 = 4
+        assert a.relabeled(((0, 0), (0, 0))) == Torsion(N12, 2, [((0, 0), 4)])
+        # D0 (D0 - D1) + D1 (D0 - D1) cancels at the middle term
+        x = Torsion(N12, 2, [((0, 0), 1), ((1, 0), 1)])
+        y = Torsion(N12, 2, [((0, 0), 1), ((1, 0), -1)])
+        assert x.convolve(y) == Torsion(N12, 2, [((0, 0), 1), ((2, 0), -1)])
+
+    def test_negative_inputs(self):
+        a = self.a
+        for factor, z in ((-1, (-3, -1)), (-5, (0, -7))):
+            for _, result, modulus, terms in operation_cases(
+                a, -a.shifted((1, 1)), factor, z, ((-1, 0), (2, -1))
+            ):
+                assert_canonical(result, modulus, terms)
+
+    def test_relabel_rejects_wrong_shape(self):
+        for matrix in (((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1, 0)), ((1,), (0,))):
+            with pytest.raises(IncompatibleParams):
+                self.a.relabeled(matrix)
+        with pytest.raises(IncompatibleParams):
+            Torsion.zero(N12, 2).relabeled(((1,),))
+
+    def test_mixed_parameters_rejected(self):
+        for other in (Torsion(N12, 1, [((0,), 1)]), Torsion(8, 2, [((0, 0), 1)])):
+            for op in (
+                lambda x, y: x + y,
+                lambda x, y: x - y,
+                lambda x, y: x.convolve(y),
+            ):
+                with pytest.raises(IncompatibleParams):
+                    op(self.a, other)
+        with pytest.raises(IncompatibleParams):
+            self.a.shifted((1,))
