@@ -7,6 +7,6 @@ by brute force.
 
 The package re-exports nothing: each name is reached through the module
 that defines it, one of `group`, `matrix`, `modular`, `automorphism`,
-`reidemeister`, `fileformat`, `finite` (the only one that loads numpy) and
-`cli`.
+`reidemeister`, `fileformat` (both file kinds), `finite` (the only one that
+loads numpy) and `cli`.
 """

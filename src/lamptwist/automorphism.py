@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
 from .group import GroupElement, GroupParams, IncompatibleParams, Torsion
 from .matrix import (
     as_matrix,
@@ -273,52 +272,3 @@ def inner(gamma: GroupElement) -> WreathAutomorphism:
 def twist(aut: WreathAutomorphism, gamma: GroupElement) -> WreathAutomorphism:
     """Inner twist: conjugation by gamma composed after aut."""
     return inner(gamma).compose(aut)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def _torsion_to_list(t: Torsion) -> list[dict]:
-    return [{"coeff": c, "point": list(p)} for p, c in t.items()]
-
-
-def _torsion_from_list(data, modulus: int, rank: int) -> Torsion:
-    if not isinstance(data, list):
-        raise ValueError("torsion element must be a list of {coeff, point} objects")
-    items = []
-    for entry in data:
-        if not isinstance(entry, dict) or "coeff" not in entry or "point" not in entry:
-            raise ValueError(f"bad torsion term {entry!r}")
-        point = tuple(json_int(x, "point coordinate") for x in entry["point"])
-        items.append((point, json_int(entry["coeff"], "coeff")))
-    return Torsion(modulus, rank, items)
-
-
-def automorphism_to_dict(aut: WreathAutomorphism) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "modulus": aut.params.modulus,
-        "rank": aut.params.rank,
-        "matrix": [list(row) for row in aut.matrix],
-        "u": _torsion_to_list(aut.origin_image),
-        "cocycle": [_torsion_to_list(t) for t in aut.cocycle],
-    }
-
-
-def automorphism_from_dict(data: dict) -> WreathAutomorphism:
-    check_schema(data)
-    try:
-        modulus = json_int(data["modulus"], "modulus")
-        rank = json_int(data["rank"], "rank")
-        params = GroupParams(modulus, rank)
-        matrix = as_matrix([json_int(x, "matrix entry") for x in row] for row in data["matrix"])
-        u = _torsion_from_list(data["u"], modulus, rank)
-        cocycle_data = data["cocycle"]
-        if not isinstance(cocycle_data, list) or len(cocycle_data) != rank:
-            raise ValueError(f"cocycle must list {rank} torsion elements")
-        cocycle = tuple(_torsion_from_list(entry, modulus, rank) for entry in cocycle_data)
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r} in automorphism data") from exc
-    except TypeError as exc:
-        raise SchemaError(f"malformed automorphism data: {exc}") from exc
-    return WreathAutomorphism(params, matrix, u, cocycle)

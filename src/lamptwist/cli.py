@@ -18,10 +18,7 @@ import random
 import sys
 
 from . import fileformat
-from .automorphism import automorphism_from_dict, automorphism_to_dict
 from .reidemeister import (
-    certificate_from_dict,
-    certificate_to_dict,
     classify_r_infinity,
     finite_reidemeister_automorphism,
     reidemeister_number,
@@ -42,8 +39,7 @@ def _default_automorphism_path(n: int, k: int) -> str:
 
 
 def _load_automorphism(path: str):
-    data = fileformat.load(path)
-    return automorphism_from_dict(data)
+    return fileformat.automorphism_from_dict(fileformat.load(path))
 
 
 # -- classify / construct -------------------------------------------------------
@@ -54,7 +50,7 @@ def _cmd_classify(args):
     path = None
     if not verdict.always_infinite and not args.no_write:
         path = args.out or _default_automorphism_path(args.n, args.k)
-        fileformat.save(path, automorphism_to_dict(verdict.automorphism))
+        fileformat.save(path, fileformat.automorphism_to_dict(verdict.automorphism))
     payload = {
         "command": "classify",
         "modulus": verdict.modulus,
@@ -78,7 +74,7 @@ def _cmd_construct(args):
     aut = finite_reidemeister_automorphism(args.n, args.k)
     result = reidemeister_number(aut)
     path = args.out or _default_automorphism_path(args.n, args.k)
-    fileformat.save(path, automorphism_to_dict(aut))
+    fileformat.save(path, fileformat.automorphism_to_dict(aut))
     payload = {
         "command": "construct",
         "modulus": args.n,
@@ -104,7 +100,8 @@ def _cmd_reidemeister(args):
         if result.certificate is None:
             print("no certificate produced (lattice quotient already infinite)", file=sys.stderr)
         else:
-            fileformat.save(args.emit_certificate, certificate_to_dict(result.certificate))
+            cert = fileformat.certificate_to_dict(result.certificate)
+            fileformat.save(args.emit_certificate, cert)
     payload = {
         "command": "reidemeister",
         "quotient": str(result.quotient),
@@ -137,7 +134,7 @@ def _cmd_validate(args):
 
 
 def _cmd_verify(args):
-    cert = certificate_from_dict(fileformat.load(args.file))
+    cert = fileformat.certificate_from_dict(fileformat.load(args.file))
     failures = replay_certificate(cert)
     witnesses = sorted(cert.witnesses)
     payload = {

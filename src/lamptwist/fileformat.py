@@ -1,11 +1,17 @@
-"""Shared JSON file conventions: schema versioning and canonical dumps."""
+"""The file formats: schema versioning, canonical dumps, automorphism and certificate files."""
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
+from .automorphism import WreathAutomorphism
+from .group import GroupParams, Torsion
+from .matrix import as_matrix, matrix_order
+from .reidemeister import PreimageTemplate, SurjectivityCertificate
+
 SCHEMA_VERSION = 1
+CERTIFICATE_KIND = "surjectivity-certificate"
 
 
 class SchemaError(ValueError):
@@ -87,3 +93,131 @@ def load(path) -> dict:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         except RecursionError:
             raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None
+
+
+# -- automorphism files -----------------------------------------------------
+
+
+def _torsion_to_list(t: Torsion) -> list[dict]:
+    return [{"coeff": c, "point": list(p)} for p, c in t.items()]
+
+
+def _torsion_from_list(data, modulus: int, rank: int) -> Torsion:
+    if not isinstance(data, list):
+        raise ValueError("torsion element must be a list of {coeff, point} objects")
+    items = []
+    for entry in data:
+        if not isinstance(entry, dict) or "coeff" not in entry or "point" not in entry:
+            raise ValueError(f"bad torsion term {entry!r}")
+        point = tuple(json_int(x, "point coordinate") for x in entry["point"])
+        items.append((point, json_int(entry["coeff"], "coeff")))
+    return Torsion(modulus, rank, items)
+
+
+def automorphism_to_dict(aut: WreathAutomorphism) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "modulus": aut.params.modulus,
+        "rank": aut.params.rank,
+        "matrix": [list(row) for row in aut.matrix],
+        "u": _torsion_to_list(aut.origin_image),
+        "cocycle": [_torsion_to_list(t) for t in aut.cocycle],
+    }
+
+
+def automorphism_from_dict(data: dict) -> WreathAutomorphism:
+    check_schema(data)
+    try:
+        modulus = json_int(data["modulus"], "modulus")
+        rank = json_int(data["rank"], "rank")
+        params = GroupParams(modulus, rank)
+        matrix = as_matrix([json_int(x, "matrix entry") for x in row] for row in data["matrix"])
+        u = _torsion_from_list(data["u"], modulus, rank)
+        cocycle_data = data["cocycle"]
+        if not isinstance(cocycle_data, list) or len(cocycle_data) != rank:
+            raise ValueError(f"cocycle must list {rank} torsion elements")
+        cocycle = tuple(_torsion_from_list(entry, modulus, rank) for entry in cocycle_data)
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc.args[0]!r} in automorphism data") from exc
+    except TypeError as exc:
+        raise SchemaError(f"malformed automorphism data: {exc}") from exc
+    return WreathAutomorphism(params, matrix, u, cocycle)
+
+
+# -- certificate files --------------------------------------------------------
+
+
+def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
+    template = None
+    if cert.template is not None:
+        template = {
+            "coeff": cert.template.coeff,
+            "point": list(cert.template.offset),
+            "order": cert.template.order,
+            "inverses": {str(t): inv for t, inv in cert.template.inverses.items()},
+        }
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": CERTIFICATE_KIND,
+        "automorphism": automorphism_to_dict(cert.automorphism),
+        "status": cert.status,
+        "template": template,
+        "witnesses": [
+            {"point": list(pt), "preimage": _torsion_to_list(sigma)}
+            for pt, sigma in sorted(cert.witnesses.items())
+        ],
+        "notes": list(cert.notes),
+    }
+
+
+def _orbit_length(key: str) -> int:
+    """A template `inverses` key: a positive orbit length written as str(t) writes it."""
+    try:
+        t = int(key)
+    except ValueError:
+        t = 0
+    if key != str(t) or t < 1:
+        raise SchemaError(f"template inverses key {key!r} is not a positive orbit length")
+    return t
+
+
+def certificate_from_dict(data: dict) -> SurjectivityCertificate:
+    check_schema(data, kind=CERTIFICATE_KIND)
+    try:
+        aut = automorphism_from_dict(data["automorphism"])
+        n, k = aut.params.modulus, aut.params.rank
+        status = data.get("status")
+        if status not in ("certified", "unknown"):
+            raise ValueError(f"bad certificate status {status!r}")
+        template = None
+        tdata = data.get("template")
+        if tdata is not None:
+            template = PreimageTemplate(
+                coeff=json_int(tdata["coeff"], "template coeff"),
+                offset=tuple(json_int(x, "template point coordinate") for x in tdata["point"]),
+                order=json_int(tdata["order"], "template order"),
+                inverses={_orbit_length(t): json_int(v, "template inverse")
+                          for t, v in tdata["inverses"].items()},
+            )
+        witnesses = {}
+        for entry in data.get("witnesses", []):
+            pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
+            witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
+        notes = data.get("notes", [])
+        if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+            raise SchemaError("certificate notes must be a list of strings")
+        notes = tuple(notes)
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed certificate data: {exc}") from exc
+    # preimages walk orbits for up to `order` steps, so only the true order is taken
+    if template is not None and template.order != matrix_order(aut.matrix):
+        raise SchemaError(f"template order {template.order} is not the order of the lattice map")
+    return SurjectivityCertificate(
+        automorphism=aut,
+        certified=(status == "certified"),
+        witnesses=witnesses,
+        template=template,
+        notes=notes,
+    )

@@ -12,22 +12,33 @@ from typing import Iterable, Sequence
 IntMatrix = tuple[tuple[int, ...], ...]
 
 ORDER_THREE_BLOCK: IntMatrix = ((0, 1), (-1, -1))  # order 3, det 1
+ORDER_CAP = 128
+# validation and det are O(k^3) in pure Python: rank 200 takes seconds, rank 600 a minute
+MAX_RANK = 200
+
+
+def _check_rank(k: int) -> None:
+    if k > MAX_RANK:
+        raise ValueError(f"rank {k} exceeds the supported maximum {MAX_RANK}")
 
 
 def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     mat = tuple(tuple(map(int, row)) for row in rows)
     if not mat or any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows must be nonempty and of equal length")
+    _check_rank(max(len(mat), len(mat[0])))
     return mat
 
 
 def identity(k: int) -> IntMatrix:
+    _check_rank(k)
     zeros = (0,) * k
     return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(k))
 
 
 def block_diagonal(block: IntMatrix, k: int) -> IntMatrix:
     """The k x k matrix with `block` repeated along its diagonal."""
+    _check_rank(k)
     b = len(block)
     if k % b:
         raise ValueError(f"a {b}x{b} block does not tile rank {k}")
@@ -97,8 +108,8 @@ def is_unimodular(m: IntMatrix) -> bool:
     return len(m) == len(m[0]) and det(m) in (1, -1)
 
 
-def matrix_order(m: IntMatrix, cap: int = 128) -> int | None:
-    """Least t >= 1 with m^t = identity, or None if no such t up to cap.
+def matrix_order(m: IntMatrix) -> int | None:
+    """Least t >= 1 with m^t = identity, or None if no such t up to ORDER_CAP.
 
     The eigenvalues of a finite-order matrix are roots of unity, so each of
     its powers has a trace of absolute value at most k; a larger one ends
@@ -107,7 +118,7 @@ def matrix_order(m: IntMatrix, cap: int = 128) -> int | None:
     k = len(m)
     ident = identity(k)
     p = m
-    for t in range(1, cap + 1):
+    for t in range(1, ORDER_CAP + 1):
         if p == ident:
             return t
         if abs(sum(p[i][i] for i in range(k))) > k:

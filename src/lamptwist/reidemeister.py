@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .automorphism import (
-    WreathAutomorphism,
-    _torsion_from_list,
-    _torsion_to_list,
-    automorphism_from_dict,
-    automorphism_to_dict,
-)
-from .fileformat import SCHEMA_VERSION, SchemaError, check_schema, json_int
+from .automorphism import WreathAutomorphism
 from .group import GroupParams, Point, Torsion
 from .matrix import (
     ORDER_THREE_BLOCK,
@@ -42,8 +35,6 @@ from .matrix import (
     matrix_order,
 )
 from .modular import crt, divisors, factorize, modinv
-
-CERTIFICATE_KIND = "surjectivity-certificate"
 
 
 class ExtNat(NamedTuple):
@@ -333,85 +324,6 @@ def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
     if cert.certified:
         return ReidemeisterResult(quotient, cert, quotient)
     return ReidemeisterResult(quotient, cert, None)
-
-
-# -- certificate serialization --------------------------------------------------
-
-
-def certificate_to_dict(cert: SurjectivityCertificate) -> dict:
-    template = None
-    if cert.template is not None:
-        template = {
-            "coeff": cert.template.coeff,
-            "point": list(cert.template.offset),
-            "order": cert.template.order,
-            "inverses": {str(t): inv for t, inv in cert.template.inverses.items()},
-        }
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": CERTIFICATE_KIND,
-        "automorphism": automorphism_to_dict(cert.automorphism),
-        "status": cert.status,
-        "template": template,
-        "witnesses": [
-            {"point": list(pt), "preimage": _torsion_to_list(sigma)}
-            for pt, sigma in sorted(cert.witnesses.items())
-        ],
-        "notes": list(cert.notes),
-    }
-
-
-def _orbit_length(key: str) -> int:
-    """A template `inverses` key: a positive orbit length written as str(t) writes it."""
-    try:
-        t = int(key)
-    except ValueError:
-        t = 0
-    if key != str(t) or t < 1:
-        raise SchemaError(f"template inverses key {key!r} is not a positive orbit length")
-    return t
-
-
-def certificate_from_dict(data: dict) -> SurjectivityCertificate:
-    check_schema(data, kind=CERTIFICATE_KIND)
-    try:
-        aut = automorphism_from_dict(data["automorphism"])
-        n, k = aut.params.modulus, aut.params.rank
-        status = data.get("status")
-        if status not in ("certified", "unknown"):
-            raise ValueError(f"bad certificate status {status!r}")
-        template = None
-        tdata = data.get("template")
-        if tdata is not None:
-            template = PreimageTemplate(
-                coeff=json_int(tdata["coeff"], "template coeff"),
-                offset=tuple(json_int(x, "template point coordinate") for x in tdata["point"]),
-                order=json_int(tdata["order"], "template order"),
-                inverses={_orbit_length(t): json_int(v, "template inverse")
-                          for t, v in tdata["inverses"].items()},
-            )
-        witnesses = {}
-        for entry in data.get("witnesses", []):
-            pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
-            witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
-        notes = data.get("notes", [])
-        if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
-            raise SchemaError("certificate notes must be a list of strings")
-        notes = tuple(notes)
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed certificate data: {exc}") from exc
-    # preimages walk orbits for up to `order` steps, so only the true order is taken
-    if template is not None and template.order != matrix_order(aut.matrix):
-        raise SchemaError(f"template order {template.order} is not the order of the lattice map")
-    return SurjectivityCertificate(
-        automorphism=aut,
-        certified=(status == "certified"),
-        witnesses=witnesses,
-        template=template,
-        notes=notes,
-    )
 
 
 def _template_differences(stored, derived, why) -> list[str]:

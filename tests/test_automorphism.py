@@ -6,13 +6,11 @@ from lamptwist.group import GroupElement, GroupParams, Torsion
 from lamptwist.automorphism import (
     InvalidAutomorphism,
     WreathAutomorphism,
-    automorphism_from_dict,
-    automorphism_to_dict,
     inner,
     is_group_ring_unit,
     twist,
 )
-from lamptwist.fileformat import SchemaError
+from lamptwist.fileformat import SchemaError, automorphism_from_dict, automorphism_to_dict
 from reference import automorphism_inverse, group_ring_inverse, inverse_in_box
 
 

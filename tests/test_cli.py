@@ -14,17 +14,18 @@ import lamptwist.cli as cli
 import lamptwist.finite as finite
 import lamptwist.fileformat as fileformat
 from lamptwist.group import GroupParams, Torsion
-from lamptwist.automorphism import WreathAutomorphism, automorphism_from_dict, automorphism_to_dict
+from lamptwist.automorphism import WreathAutomorphism
+from lamptwist.fileformat import automorphism_from_dict, automorphism_to_dict, certificate_to_dict
 from lamptwist.reidemeister import (
     PreimageTemplate,
     SurjectivityCertificate,
-    certificate_to_dict,
     default_test_points,
     finite_reidemeister_automorphism,
     restriction_surjectivity,
     template_preimage,
 )
 from lamptwist.finite import OracleCheck
+from lamptwist.matrix import MAX_RANK
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -649,6 +650,54 @@ class TestValidate:
         assert json.loads(out)["valid"] is True
 
 
+class TestRankBound:
+    # past MAX_RANK the O(k^3) checks take minutes and the matrices exhaust memory
+    def identity_file(self, path, rank):
+        fileformat.save(path, {
+            "schema": 1, "modulus": 5, "rank": rank,
+            "matrix": [[int(i == j) for j in range(rank)] for i in range(rank)],
+            "u": [{"coeff": 1, "point": [0] * rank}],
+            "cocycle": [[] for _ in range(rank)],
+        })
+
+    @pytest.mark.parametrize(
+        "argv", [["classify", "5", "{k}", "--no-write"], ["construct", "5", "{k}"],
+                 ["oracle", "3", "1", "{k}"]],
+        ids=["classify", "construct", "oracle"],
+    )
+    def test_rank_argument_refused(self, capsys, argv):
+        argv = [arg.format(k=MAX_RANK + 1) for arg in argv]
+        assert f"rank {MAX_RANK + 1} exceeds" in run_hostile(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["reidemeister"], ["oracle", "5", "1", str(MAX_RANK + 1), "--aut"]],
+        ids=["validate", "reidemeister", "oracle"],
+    )
+    def test_rank_in_file_refused(self, capsys, tmp_path, argv):
+        self.identity_file(tmp_path / "big.json", MAX_RANK + 1)
+        assert f"rank {MAX_RANK + 1} exceeds" in run_hostile(capsys, *argv, "big.json")
+
+    def test_rank_in_certificate_refused(self, capsys, tmp_path):
+        self.identity_file(tmp_path / "big.json", MAX_RANK + 1)
+        fileformat.save(tmp_path / "c.json", {
+            "schema": 1, "kind": "surjectivity-certificate",
+            "automorphism": fileformat.load(tmp_path / "big.json"),
+            "status": "unknown", "template": None, "witnesses": [], "notes": [],
+        })
+        assert f"rank {MAX_RANK + 1} exceeds" in run_hostile(capsys, "verify", "c.json")
+
+    def test_r_infinity_classify_builds_no_matrix(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "classify", "4", "1000000", "--no-write")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (0, "Z_4 wr Z^1000000: R-infinity (modulus is even)\n")
+
+    def test_file_at_the_bound_loads(self, tmp_path):
+        self.identity_file(tmp_path / "edge.json", MAX_RANK)
+        aut = automorphism_from_dict(fileformat.load(tmp_path / "edge.json"))
+        assert aut.params.rank == len(aut.matrix) == MAX_RANK
+
+
 class TestOracle:
     def test_tbft_text(self, capsys):
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
@@ -926,6 +975,19 @@ print(json.dumps({
 """
 
 
+# reidemeister and automorphism know no file format: json and fileformat load with the front end
+REIDEMEISTER_IMPORT_SCRIPT = """
+import sys
+
+bare = sorted(m for m in ("json", "lamptwist.fileformat") if m in sys.modules)
+import lamptwist.reidemeister
+
+loaded = sorted(m for m in ("json", "lamptwist.fileformat") if m in sys.modules)
+import json
+print(json.dumps({"bare": bare, "loaded": loaded}))
+"""
+
+
 def run_fresh(cwd, script, *args):
     """Run `script` in a fresh interpreter that imports this checkout of lamptwist."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
@@ -977,6 +1039,10 @@ class TestStartup:
         ]
         got = run_fresh(tmp_path, HEAVY_MODULES_SCRIPT, json.dumps(argvs))
         assert got["loaded"] == [[argv[0], 0, got["bare"]] for argv in argvs]
+
+    def test_reidemeister_loads_no_file_format(self, tmp_path):
+        got = run_fresh(tmp_path, REIDEMEISTER_IMPORT_SCRIPT)
+        assert got["loaded"] == got["bare"]
 
     def test_package_import_loads_no_submodule(self, tmp_path):
         got = run_fresh(tmp_path, PACKAGE_IMPORT_SCRIPT)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lamptwist.matrix import (
+    MAX_RANK,
     as_matrix,
+    block_diagonal,
     det,
     identity,
     is_unimodular,
@@ -94,6 +96,16 @@ class TestBasics:
     def test_as_matrix_rejects_ragged(self):
         with pytest.raises(ValueError):
             as_matrix([[1, 2], [3]])
+
+    def test_rank_bound(self):
+        # every builder accepts a matrix at the bound and refuses one past it
+        builders = [identity, lambda k: block_diagonal(((-1,),), k), lambda k: as_matrix([[0] * k])]
+        for build in builders:
+            assert len(build(MAX_RANK)[-1]) == MAX_RANK
+            with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} exceeds"):
+                build(MAX_RANK + 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            as_matrix([[0]] * (MAX_RANK + 1))
 
 
 class TestMatMul:

@@ -10,8 +10,6 @@ from lamptwist.automorphism import WreathAutomorphism
 from lamptwist.reidemeister import (
     INFINITE,
     ExtNat,
-    certificate_from_dict,
-    certificate_to_dict,
     classify_r_infinity,
     crt_lift_preimage,
     default_test_points,
@@ -23,7 +21,7 @@ from lamptwist.reidemeister import (
     restriction_surjectivity,
     template_preimage,
 )
-from lamptwist.fileformat import SchemaError
+from lamptwist.fileformat import SchemaError, certificate_from_dict, certificate_to_dict
 from lamptwist.modular import crt, factorize
 from lamptwist.matrix import block_diagonal, identity, mat_pow, mat_sub, det, random_unimodular
 from reference import fixed_character_count, reference_smith_normal_form
