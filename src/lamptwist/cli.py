@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 
 from . import fileformat
@@ -29,9 +28,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_UNKNOWN = 3
-
-SHIFT_SAMPLE_CAP = 200
-SHIFT_SAMPLES = 25
 
 
 def _default_automorphism_path(n: int, k: int) -> str:
@@ -156,31 +152,11 @@ def _cmd_verify(args):
 
 # -- oracle -----------------------------------------------------------------------
 
-ORACLE_CHECKS = ("tbft", "shift", "projection", "restriction")
-
-
-def _shift_elements(order: int) -> list[int]:
-    if order <= SHIFT_SAMPLE_CAP:
-        return list(range(order))
-    rng = random.Random(0x5EED)
-    picked = sorted({rng.randrange(order) for _ in range(SHIFT_SAMPLES)})
-    return picked
-
 
 def _cmd_oracle(args):
     # imported here: `finite` loads numpy, which no other subcommand needs
     from .finite import (
-        DEFAULT_BUDGET,
-        FiniteWreathGroup,
-        descend_automorphism,
-        distinct_descents,
-        twisted_classes,
-        twisted_classes_with_conjugacy,
-        verify_projection,
-        verify_restriction_bound,
-        verify_shift_invariance,
-        verify_tbft_finite,
-        zero_cocycle_automorphisms,
+        DEFAULT_BUDGET, ORACLE_CHECKS, FiniteWreathGroup, run_checks, zero_cocycle_automorphisms
     )
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
@@ -201,29 +177,7 @@ def _cmd_oracle(args):
         sources = [_load_automorphism(args.aut)]
     else:
         sources = zero_cocycle_automorphisms(args.n, args.k, args.m)
-    if "projection" in checks:
-        small = FiniteWreathGroup(args.divisor, args.m, args.k, budget=budget)
-
-    # tbft also reads the model's ordinary classes, counted with the first partition
-    count = twisted_classes_with_conjugacy if "tbft" in checks else twisted_classes
-    results = []
-    try:
-        for aut, fin in distinct_descents(sources, group):
-            base = count(group, fin)  # every check counts the classes of fin
-            if "tbft" in checks:
-                results.append(verify_tbft_finite(group, fin, base))
-            if "shift" in checks:
-                results.extend(
-                    verify_shift_invariance(group, fin, _shift_elements(group.order), base)
-                )
-            if "restriction" in checks:
-                results.extend(verify_restriction_bound(group, fin, base))
-            if "projection" in checks:
-                small_fin = descend_automorphism(aut.induce(args.divisor), small)
-                results.extend(verify_projection(group, small, fin, small_fin, base))
-    except MemoryError:
-        # a raised --budget admits models whose tables outgrow memory
-        raise ValueError(f"|G| = {group.order}: the finite model does not fit in memory") from None
+    results = list(run_checks(group, sources, checks, args.divisor))
 
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed

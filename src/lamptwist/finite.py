@@ -28,14 +28,15 @@ indices and class ids are their ranks.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
-from math import gcd
+import random
+from collections.abc import Iterable, Iterator
+from math import gcd, log10
 from typing import NamedTuple
 
 import numpy as np
 
 from .group import GroupParams, Torsion
-from .matrix import ORDER_THREE_BLOCK, block_diagonal, identity as identity_matrix
+from .matrix import ORDER_THREE_BLOCK, block_diagonal, check_rank, identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
 
 DEFAULT_BUDGET = 10**6
@@ -43,6 +44,17 @@ DEFAULT_BUDGET = 10**6
 
 class BudgetExceeded(ValueError):
     """A finite-model computation would overrun its configured budget."""
+
+
+def _refusal(message: str, *numbers: int) -> BudgetExceeded:
+    """`message` with `numbers`, those past 40 digits by order of magnitude if the error
+    line would reach 200 characters (Python prints no integer of over 4300 digits)."""
+    if all(abs(x) < 10**200 for x in numbers) and len(line := message.format(*numbers)) < 193:
+        return BudgetExceeded(line)  # 193 + len("error: ") = 200
+    return BudgetExceeded(message.format(*(
+        x if abs(x) < 10**40 else f"~{'-' * (x < 0)}10^{round(x.bit_length() * log10(2))}"
+        for x in numbers
+    )))
 
 
 class DescentError(ValueError):
@@ -59,13 +71,14 @@ class FiniteWreathGroup:
             raise ValueError(f"box must be at least 1, got {box}")
         if rank < 1:
             raise ValueError(f"rank must be at least 1, got {rank}")
+        check_rank(rank)
         self.modulus = modulus
         self.box = box
         self.rank = rank
         npoints = box**rank
         if npoints > 60:
-            raise BudgetExceeded(
-                f"box {box}^{rank} has {npoints} points; the model order exceeds any budget"
+            raise _refusal(
+                "box {}^{} has {} points; the model order exceeds any budget", box, rank, npoints
             )
         self.points = list(itertools.product(range(box), repeat=rank))
         self.point_count = npoints
@@ -74,8 +87,9 @@ class FiniteWreathGroup:
         self.torsion_count = modulus**npoints
         self.order = self.torsion_count * npoints
         if self.order > budget:
-            raise BudgetExceeded(
-                f"|G| = {modulus}^{npoints} * {npoints} = {self.order} exceeds budget {budget}"
+            raise _refusal(
+                "|G| = {}^{} * {} = {} exceeds budget {}",
+                modulus, npoints, npoints, self.order, budget,
             )
         self._tables = None
         self._conjugacy = None
@@ -308,25 +322,6 @@ class TwistedClassPartition(NamedTuple):
 def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
     """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
     return _partitions(group, aut.table[None, :])[0]
-
-
-def twisted_classes_with_conjugacy(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism
-) -> TwistedClassPartition:
-    """`twisted_classes` of aut, with the model's ordinary classes counted alongside.
-
-    The identity's row joins aut's in one propagation, and its partition is
-    kept as the model's `conjugacy_partition`.  Once that is known, or when
-    aut is the identity, aut's row is counted alone.
-    """
-    if group._conjugacy is not None:
-        return twisted_classes(group, aut)
-    identity = np.arange(group.order)
-    if np.array_equal(aut.table, identity):
-        group._conjugacy = twisted_classes(group, aut)
-        return group._conjugacy
-    base, group._conjugacy = _partitions(group, np.stack([aut.table, identity]))
-    return base
 
 
 def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]:
@@ -649,3 +644,54 @@ def zero_cocycle_catalog(group: FiniteWreathGroup) -> list[FiniteAutomorphism]:
 def inner_twists(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
     """All inner twists of aut, deduplicated by their tables (g = identity first)."""
     return list(dict.fromkeys(aut.twisted_by(g) for g in range(group.order)))
+
+
+# -- the oracle run -----------------------------------------------------------------
+
+ORACLE_CHECKS = ("tbft", "shift", "projection", "restriction")
+SHIFT_SAMPLE_CAP = 200
+SHIFT_SAMPLES = 25
+
+
+def _shift_elements(order: int) -> list[int]:
+    """Every element of a model up to SHIFT_SAMPLE_CAP, else SHIFT_SAMPLES seeded picks."""
+    if order <= SHIFT_SAMPLE_CAP:
+        return list(range(order))
+    rng = random.Random(0x5EED)
+    return sorted({rng.randrange(order) for _ in range(SHIFT_SAMPLES)})
+
+
+def run_checks(
+    group: FiniteWreathGroup, sources: Iterable[WreathAutomorphism], checks, divisor=None
+) -> Iterator[OracleCheck]:
+    """Yield the named checks, in the order tbft, shift, restriction, projection (against
+    the model of modulus `divisor`), on each distinct descent of `sources` to `group`.
+
+    Each descent's classes are counted once for every check; with `tbft`, the
+    model's ordinary classes (the identity's row) join the first count.
+    """
+    if "projection" in checks:
+        # divisor < modulus, so the smaller model fits the budget `group` met
+        small = FiniteWreathGroup(divisor, group.box, group.rank, budget=group.order)
+    samples = _shift_elements(group.order)
+    try:
+        identity = np.arange(group.order)
+        for aut, fin in distinct_descents(sources, group):
+            if "tbft" not in checks or group._conjugacy is not None:
+                base = twisted_classes(group, fin)
+            elif np.array_equal(fin.table, identity):
+                base = group._conjugacy = twisted_classes(group, fin)
+            else:
+                base, group._conjugacy = _partitions(group, np.stack([fin.table, identity]))
+            if "tbft" in checks:
+                yield verify_tbft_finite(group, fin, base)
+            if "shift" in checks:
+                yield from verify_shift_invariance(group, fin, samples, base)
+            if "restriction" in checks:
+                yield from verify_restriction_bound(group, fin, base)
+            if "projection" in checks:
+                small_fin = descend_automorphism(aut.induce(divisor), small)
+                yield from verify_projection(group, small, fin, small_fin, base)
+    except MemoryError:
+        # a raised budget admits models whose tables outgrow memory
+        raise ValueError(f"|G| = {group.order}: the finite model does not fit in memory") from None

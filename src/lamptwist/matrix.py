@@ -17,7 +17,7 @@ ORDER_CAP = 128
 MAX_RANK = 200
 
 
-def _check_rank(k: int) -> None:
+def check_rank(k: int) -> None:
     if k > MAX_RANK:
         raise ValueError(f"rank {k} exceeds the supported maximum {MAX_RANK}")
 
@@ -26,19 +26,19 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     mat = tuple(tuple(map(int, row)) for row in rows)
     if not mat or any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows must be nonempty and of equal length")
-    _check_rank(max(len(mat), len(mat[0])))
+    check_rank(max(len(mat), len(mat[0])))
     return mat
 
 
 def identity(k: int) -> IntMatrix:
-    _check_rank(k)
+    check_rank(k)
     zeros = (0,) * k
     return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(k))
 
 
 def block_diagonal(block: IntMatrix, k: int) -> IntMatrix:
     """The k x k matrix with `block` repeated along its diagonal."""
-    _check_rank(k)
+    check_rank(k)
     b = len(block)
     if k % b:
         raise ValueError(f"a {b}x{b} block does not tile rank {k}")

@@ -698,6 +698,48 @@ class TestRankBound:
         assert aut.params.rank == len(aut.matrix) == MAX_RANK
 
 
+class TestModelRefusal:
+    # the model compares its rank with the bound before it lists any box point
+    @pytest.mark.parametrize("argv", [["3", "1", "10000000"], ["3", "2", str(MAX_RANK + 1)]])
+    def test_rank_checked_before_the_box(self, capsys, argv):
+        line = run_hostile(capsys, "oracle", *argv)
+        assert line == f"error: rank {argv[2]} exceeds the supported maximum {MAX_RANK}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["3", "1" + "0" * 30, "200"],  # a point count of 6001 digits
+            [str(10**100 + 267), "60", "1"],  # an order of 6002 digits
+            ["3", "1000000", "200"],  # a point count of 1201 digits
+            ["3", "2", "1", "--budget", str(-(10**200))],
+        ],
+        ids=["box-points", "order", "long-points", "long-budget"],
+    )
+    def test_huge_figures_stay_short(self, capsys, argv):
+        line = run_hostile(capsys, "oracle", *argv)
+        assert len(line) < 200 and "Exceeds the limit" not in line
+        assert "points; the model order exceeds any budget" in line or " exceeds budget " in line
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["2", "8", "2"], "box 8^2 has 64 points; the model order exceeds any budget"),
+            (["3", "2", "1", "--budget", "0"], "|G| = 3^2 * 2 = 18 exceeds budget 0"),
+            (
+                ["3", str(10**50), "1"],
+                f"box {10**50}^1 has {10**50} points; the model order exceeds any budget",
+            ),
+            (
+                [str(10**50), "1", "1"],
+                f"|G| = {10**50}^1 * 1 = {10**50} exceeds budget 1000000",
+            ),
+        ],
+        ids=["box", "budget", "box-51-digits", "order-51-digits"],
+    )
+    def test_lines_under_200_characters_unchanged(self, capsys, argv, line):
+        assert run_hostile(capsys, "oracle", *argv) == f"error: {line}"
+
+
 class TestOracle:
     def test_tbft_text(self, capsys):
         code, out, _ = run(capsys, "oracle", "3", "2", "1")

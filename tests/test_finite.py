@@ -518,7 +518,7 @@ class TestBatchedPartitions:
         assert cli.main(argv) == 0
         expected = capsys.readouterr()
         g = FiniteWreathGroup(3, 2, 2)
-        samples = cli._shift_elements(g.order)
+        samples = finite._shift_elements(g.order)
         inverses = g.inverses(samples).tolist()
         # one row per coset but the center's
         rows = len(set(finite._central_cosets(g, samples + inverses).values()) - {g.identity})
