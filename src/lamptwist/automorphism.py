@@ -168,16 +168,11 @@ class WreathAutomorphism:
             if zi:
                 step = mat_vec(self.matrix, _basis(k, i))
                 axis_total = Torsion.zero(n, k)
-                if zi > 0:
-                    for j in range(zi):
-                        axis_total = axis_total + self.cocycle[i].shifted(
-                            tuple(j * c for c in step)
-                        )
-                else:
-                    for j in range(1, -zi + 1):
-                        axis_total = axis_total - self.cocycle[i].shifted(
-                            tuple(-j * c for c in step)
-                        )
+                # z_i > 0 adds the cocycle shifted by j M e_i for 0 <= j < z_i;
+                # z_i < 0 subtracts it for z_i <= j <= -1
+                for j in range(zi) if zi > 0 else range(-1, zi - 1, -1):
+                    term = self.cocycle[i].shifted(tuple(j * c for c in step))
+                    axis_total = axis_total + term if zi > 0 else axis_total - term
                 total = total + axis_total.shifted(mat_vec(self.matrix, prefix))
                 prefix = tuple(a + zi * b for a, b in zip(prefix, _basis(k, i)))
         return total

@@ -17,10 +17,12 @@ import functools
 import sys
 
 from . import fileformat
+from .modular import bounded_message
 from .reidemeister import (
     classify_r_infinity,
     finite_reidemeister_automorphism,
     reidemeister_number,
+    render_count,
     replay_certificate,
 )
 
@@ -91,23 +93,24 @@ def _cmd_reidemeister(args):
     aut = _load_automorphism(args.file)
     aut._require_valid()
     result = reidemeister_number(aut)
-    status = "skipped" if result.certificate is None else result.certificate.status
+    status = "skipped" if result.route == "lattice-infinite" else result.certificate.status
     if args.emit_certificate:
-        if result.certificate is None:
+        if status == "skipped":
             print("no certificate produced (lattice quotient already infinite)", file=sys.stderr)
         else:
             cert = fileformat.certificate_to_dict(result.certificate)
             fileformat.save(args.emit_certificate, cert)
+    quotient = render_count(result.quotient)
     payload = {
         "command": "reidemeister",
-        "quotient": str(result.quotient),
+        "quotient": quotient,
         "certificate": status,
         "reidemeister": result.describe(),
     }
     lines = [
-        f"R_quotient = {result.quotient}", f"certificate = {status}", f"R = {result.describe()}"
+        f"R_quotient = {quotient}", f"certificate = {status}", f"R = {result.describe()}"
     ]
-    return EXIT_UNKNOWN if result.is_unknown else EXIT_OK, payload, lines
+    return EXIT_UNKNOWN if result.value is None else EXIT_OK, payload, lines
 
 
 # -- validate / verify -----------------------------------------------------------
@@ -170,7 +173,8 @@ def _cmd_oracle(args):
         raise ValueError("--check projection needs --divisor")
     if args.divisor is not None:
         if not 2 <= args.divisor < args.n or args.n % args.divisor:
-            raise ValueError(f"divisor {args.divisor} must be a nontrivial divisor of {args.n}")
+            message = "divisor {} must be a nontrivial divisor of {}"
+            raise ValueError(bounded_message(message, args.divisor, args.n))
 
     group = FiniteWreathGroup(args.n, args.m, args.k, budget=budget)
     if args.aut:
@@ -196,9 +200,16 @@ def _cmd_oracle(args):
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One `error:` line, as for every other input error: no usage block, under 200 bytes."""
+        line = f"error: {message}"
+        self.exit(2, f"{line[:195]}...\n" if len(line) > 198 else f"{line}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lamptwist",
         description="Exact Reidemeister-class computations in Z_n wr Z^k",
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
-from math import gcd, log10
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -38,23 +38,13 @@ import numpy as np
 from .group import GroupParams, Torsion
 from .matrix import ORDER_THREE_BLOCK, block_diagonal, check_rank, identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
+from .modular import bounded_message
 
 DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(ValueError):
     """A finite-model computation would overrun its configured budget."""
-
-
-def _refusal(message: str, *numbers: int) -> BudgetExceeded:
-    """`message` with `numbers`, those past 40 digits by order of magnitude if the error
-    line would reach 200 characters (Python prints no integer of over 4300 digits)."""
-    if all(abs(x) < 10**200 for x in numbers) and len(line := message.format(*numbers)) < 193:
-        return BudgetExceeded(line)  # 193 + len("error: ") = 200
-    return BudgetExceeded(message.format(*(
-        x if abs(x) < 10**40 else f"~{'-' * (x < 0)}10^{round(x.bit_length() * log10(2))}"
-        for x in numbers
-    )))
 
 
 class DescentError(ValueError):
@@ -65,21 +55,18 @@ class FiniteWreathGroup:
     """The finite group Z_n wr (Z/mZ)^k with indexed elements."""
 
     def __init__(self, modulus: int, box: int, rank: int, budget: int = DEFAULT_BUDGET):
-        if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
-        if box < 1:
-            raise ValueError(f"box must be at least 1, got {box}")
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
+        for name, x, least in (("modulus", modulus, 2), ("box", box, 1), ("rank", rank, 1)):
+            if x < least:
+                raise ValueError(bounded_message(f"{name} must be at least {least}, got {{}}", x))
         check_rank(rank)
         self.modulus = modulus
         self.box = box
         self.rank = rank
         npoints = box**rank
         if npoints > 60:
-            raise _refusal(
+            raise BudgetExceeded(bounded_message(
                 "box {}^{} has {} points; the model order exceeds any budget", box, rank, npoints
-            )
+            ))
         self.points = list(itertools.product(range(box), repeat=rank))
         self.point_count = npoints
         # the index of a box point p is p . strides: lexicographic mixed radix
@@ -87,10 +74,10 @@ class FiniteWreathGroup:
         self.torsion_count = modulus**npoints
         self.order = self.torsion_count * npoints
         if self.order > budget:
-            raise _refusal(
+            raise BudgetExceeded(bounded_message(
                 "|G| = {}^{} * {} = {} exceeds budget {}",
                 modulus, npoints, npoints, self.order, budget,
-            )
+            ))
         self._tables = None
         self._conjugacy = None
 
@@ -673,7 +660,7 @@ def run_checks(
     if "projection" in checks:
         # divisor < modulus, so the smaller model fits the budget `group` met
         small = FiniteWreathGroup(divisor, group.box, group.rank, budget=group.order)
-    samples = _shift_elements(group.order)
+    samples = _shift_elements(group.order) if "shift" in checks else []
     try:
         identity = np.arange(group.order)
         for aut, fin in distinct_descents(sources, group):

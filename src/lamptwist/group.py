@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from operator import add, mul
 
+from .modular import bounded_message
+
 Point = tuple[int, ...]
 
 
@@ -30,9 +32,9 @@ class GroupParams:
 
     def __init__(self, modulus: int, rank: int):
         if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
+            raise ValueError(bounded_message("modulus must be at least 2, got {}", modulus))
         if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
+            raise ValueError(bounded_message("rank must be at least 1, got {}", rank))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "rank", rank)
 
@@ -72,10 +74,8 @@ class Torsion:
     __slots__ = ("modulus", "rank", "_items")
 
     def __init__(self, modulus: int, rank: int, items: Iterable | Mapping = ()):
-        if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
-        if rank < 1:
-            raise ValueError(f"rank must be at least 1, got {rank}")
+        if modulus < 2 or rank < 1:
+            GroupParams(modulus, rank)  # raises the error
         acc: dict[Point, int] = {}
         pairs = items.items() if isinstance(items, Mapping) else items
         for point, coeff in pairs:
@@ -210,12 +210,7 @@ class Torsion:
     # -- plumbing ----------------------------------------------------------
 
     def render(self) -> str:
-        if not self._items:
-            return "0"
-        terms = []
-        for p, c in self._items:
-            terms.append(f"{c}*D[{','.join(str(x) for x in p)}]")
-        return " + ".join(terms)
+        return " + ".join(f"{c}*D[{','.join(str(x) for x in p)}]" for p, c in self._items) or "0"
 
     def __eq__(self, other):
         return (

@@ -9,6 +9,8 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Sequence
 
+from .modular import bounded_message
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 ORDER_THREE_BLOCK: IntMatrix = ((0, 1), (-1, -1))  # order 3, det 1
@@ -19,7 +21,7 @@ MAX_RANK = 200
 
 def check_rank(k: int) -> None:
     if k > MAX_RANK:
-        raise ValueError(f"rank {k} exceeds the supported maximum {MAX_RANK}")
+        raise ValueError(bounded_message("rank {} exceeds the supported maximum {}", k, MAX_RANK))
 
 
 def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:

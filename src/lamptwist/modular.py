@@ -1,13 +1,25 @@
-"""Modular arithmetic utilities: factorization, inverses, CRT, divisors."""
+"""Modular arithmetic utilities: factorization, inverses, CRT, divisors, and short
+error lines for huge numbers."""
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, log10
 
 TRIAL_LIMIT = 10**6  # trial division stops here; a larger cofactor must test prime
 # Miller-Rabin with the prime bases up to 41 is exact below this bound.
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def bounded_message(message: str, *numbers: int) -> str:
+    """`message` with `numbers`, those past 40 digits by order of magnitude if the error
+    line would reach 200 characters (Python prints no integer of over 4300 digits)."""
+    if all(abs(x) < 10**200 for x in numbers) and len(line := message.format(*numbers)) < 193:
+        return line  # 193 + len("error: ") = 200
+    return message.format(*(
+        x if abs(x) < 10**40 else f"~{'-' * (x < 0)}10^{round(x.bit_length() * log10(2))}"
+        for x in numbers
+    ))
 
 
 def _is_prime(n: int) -> bool:
@@ -52,7 +64,8 @@ def factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > TRIAL_LIMIT**2 and not _is_prime(n):
         why = "composite" if n < MILLER_RABIN_EXACT_BELOW else "too large to test for primality"
-        raise ValueError(f"cannot factor {n}: no prime factor up to {TRIAL_LIMIT}, and it is {why}")
+        message = f"cannot factor {{}}: no prime factor up to {TRIAL_LIMIT}, and it is {why}"
+        raise ValueError(bounded_message(message, n))
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

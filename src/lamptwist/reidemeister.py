@@ -3,8 +3,8 @@
 The pipeline: the lattice quotient count is |det(I - M)|, infinite when
 that determinant vanishes; a surjectivity certificate for (1 - torsion
 restriction) upgrades that count to the full group when available;
-otherwise the result is reported as unknown (never silently promoted to
-infinite).
+otherwise the result is unknown (never silently promoted to infinite).
+Each result names its route: how it was decided, or why it is unknown.
 
 Certificates are produced by an orbit-uniform argument that applies when
 the lattice matrix has finite order and the origin image is a single
@@ -18,6 +18,7 @@ automorphism and rejects a certificate whose stored template differs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .automorphism import WreathAutomorphism
@@ -37,33 +38,22 @@ from .matrix import (
 from .modular import crt, divisors, factorize, modinv
 
 
-class ExtNat(NamedTuple):
-    """Nonnegative count extended by an absorbing infinite value (None)."""
-
-    value: int | None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __str__(self):
-        return "infinite" if self.value is None else str(self.value)
+def render_count(count: int | float | None) -> str:
+    """A count as the CLI prints it: decimal, `infinite` for math.inf, `unknown` for None."""
+    return "unknown" if count is None else "infinite" if count == math.inf else str(count)
 
 
-INFINITE = ExtNat(None)
-
-
-def reidemeister_abelian(matrix: IntMatrix) -> ExtNat:
+def reidemeister_abelian(matrix: IntMatrix) -> int | float:
     """Twisted-class count of a unimodular lattice map: index of Im(1 - M).
 
     The index is the product of the Smith diagonal of I - M, that is
-    |det(I - M)|, and infinite when the determinant vanishes.
+    |det(I - M)|, and math.inf when the determinant vanishes.
     """
     matrix = as_matrix(matrix)
     if not is_unimodular(matrix):
         raise ValueError("lattice map must be unimodular")
     d = det(mat_sub(identity_matrix(len(matrix)), matrix))
-    return ExtNat(abs(d)) if d else INFINITE
+    return abs(d) if d else math.inf
 
 
 # -- surjectivity certificates -------------------------------------------------
@@ -89,7 +79,8 @@ class SurjectivityCertificate(NamedTuple):
     """Verdict on (1 - restriction); preimages come from the template alone.
 
     Stored witnesses are replayed but serve no preimages: an older
-    certificate may hold some without a template.
+    certificate may hold some without a template.  `route` is "template" or the
+    code of the reason in `notes`; it is not stored, so a loaded certificate has None.
     """
 
     automorphism: WreathAutomorphism
@@ -97,6 +88,7 @@ class SurjectivityCertificate(NamedTuple):
     witnesses: dict[Point, Torsion]
     template: PreimageTemplate | None = None
     notes: tuple[str, ...] = ()
+    route: str | None = None
 
     @property
     def status(self) -> str:
@@ -141,35 +133,33 @@ def template_preimage(aut: WreathAutomorphism, template: PreimageTemplate, z) ->
 
 
 def default_test_points(rank: int) -> list[Point]:
-    pts = {(0,) * rank}
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        pts.add(e)
-        pts.add(tuple(-c for c in e))
-    return sorted(pts)
+    units = [tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    return sorted({(0,) * rank, *units})
 
 
-def _orbit_template(aut: WreathAutomorphism) -> tuple[PreimageTemplate | None, str | None]:
-    """The orbit template of aut, or None and the reason why none exists."""
+def _orbit_template(aut: WreathAutomorphism) -> tuple[PreimageTemplate | None, str, str | None]:
+    """The orbit template of aut and the route "template"; or None, the code of the
+    reason why no template exists, and that reason in prose."""
     n, k = aut.params.modulus, aut.params.rank
     items = aut.origin_image.items()
     if len(items) != 1:
-        return None, "origin image has multi-point support; orbit template unavailable"
+        why = "origin image has multi-point support; orbit template unavailable"
+        return None, "multi-point", why
     (offset, coeff), = items
     order = matrix_order(aut.matrix)
     if order is None:
-        return None, "lattice map has no finite order within the search cap"
-    # M^order = I, so the orbit map to the power `order` is a translation;
-    # it is the identity exactly when the origin's orbit closes by then
+        return None, "no-order", "lattice map has no finite order within the search cap"
+    # M^order = I, so the orbit map to the power `order` is a translation; it is
+    # the identity exactly when the origin's orbit closes by then (always if det(I - M) != 0)
     if _affine_orbit(aut.matrix, offset, (0,) * k, order) is None:
-        return None, "orbit map translation part does not close; orbits are infinite"
+        return None, "open-orbit", "orbit map translation part does not close; orbits are infinite"
     inverses = {t: modinv((1 - pow(coeff, t, n)) % n, n) for t in divisors(order)}
     missing = [t for t, inv in inverses.items() if inv is None]
     if missing:
-        return None, (
+        return None, "non-invertible", (
             f"no inverse of (1 - c^t) mod {n} for orbit lengths {missing}; template incomplete"
         )
-    return PreimageTemplate(coeff % n, offset, order, inverses), None
+    return PreimageTemplate(coeff % n, offset, order, inverses), "template", None
 
 
 def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate:
@@ -180,18 +170,18 @@ def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate
     divisor t of the orbit-map order.  Every orbit length divides that
     order, so the template yields a witness at each test point, and each is
     verified exactly.  Without a template the status is unknown, the
-    certificate holds no witnesses, and its notes say why.
+    certificate holds no witnesses, and its notes and route say why.
     """
     aut._require_valid()
     n, k = aut.params.modulus, aut.params.rank
-    template, why = _orbit_template(aut)
+    template, route, why = _orbit_template(aut)
     if template is None:
-        return SurjectivityCertificate(aut, False, {}, notes=(why,))
+        return SurjectivityCertificate(aut, False, {}, notes=(why,), route=route)
     witnesses = {z: template_preimage(aut, template, z) for z in default_test_points(k)}
     for z, sigma in witnesses.items():
         if restriction_difference(aut, sigma) != Torsion.delta(n, k, z):
             raise AssertionError(f"template preimage at {z} failed exact verification")
-    return SurjectivityCertificate(aut, True, witnesses, template)
+    return SurjectivityCertificate(aut, True, witnesses, template, route=route)
 
 
 # -- constructive CRT lifting --------------------------------------------------
@@ -292,22 +282,28 @@ def classify_r_infinity(n: int, k: int) -> Classification:
         return Classification(n, k, True, reason=reason)
     aut = finite_reidemeister_automorphism(n, k)
     result = reidemeister_number(aut)
-    if result.value is None or not result.value.is_finite:
+    if result.route != "template":
         raise AssertionError("constructed automorphism failed to certify a finite count")
-    return Classification(n, k, False, automorphism=aut, reidemeister=result.value.value)
+    return Classification(n, k, False, automorphism=aut, reidemeister=result.value)
 
 
 class ReidemeisterResult(NamedTuple):
-    quotient: ExtNat
+    """`quotient` is |det(I - M)|, math.inf when it vanishes.  R is infinite on route
+    "lattice-infinite" (no certificate), the quotient on "template" (a certified
+    certificate), and unknown on the certificate's reason code: "multi-point",
+    "no-order" or "non-invertible"."""
+
+    quotient: int | float
+    route: str
     certificate: SurjectivityCertificate | None
-    value: ExtNat | None  # None encodes unknown
 
     @property
-    def is_unknown(self) -> bool:
-        return self.value is None
+    def value(self) -> int | float | None:
+        """R(phi), None exactly when it is unknown."""
+        return self.quotient if self.route in ("lattice-infinite", "template") else None
 
     def describe(self) -> str:
-        return "unknown" if self.value is None else str(self.value)
+        return render_count(self.value)
 
 
 def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
@@ -318,12 +314,10 @@ def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
     projection onto the lattice is then class-bijective); unknown otherwise.
     """
     quotient = reidemeister_abelian(aut.matrix)
-    if not quotient.is_finite:
-        return ReidemeisterResult(quotient, None, INFINITE)
+    if quotient == math.inf:
+        return ReidemeisterResult(quotient, "lattice-infinite", None)
     cert = restriction_surjectivity(aut)
-    if cert.certified:
-        return ReidemeisterResult(quotient, cert, quotient)
-    return ReidemeisterResult(quotient, cert, None)
+    return ReidemeisterResult(quotient, cert.route, cert)
 
 
 def _template_differences(stored, derived, why) -> list[str]:
@@ -357,7 +351,7 @@ def replay_certificate(cert: SurjectivityCertificate) -> list[str]:
     n, k = aut.params.modulus, aut.params.rank
     if cert.certified and not cert.witnesses:
         failures.append("certified certificate carries no witnesses")
-    template, why = _orbit_template(aut)
+    template, _, why = _orbit_template(aut)
     if cert.certified and cert.template is None:
         failures.append("certified certificate carries no orbit template")
     elif cert.template != template:

@@ -4,6 +4,7 @@ Every test prints a single `ACCEPTANCE: criterion N (...): PASS|FAIL` line so
 the gate status stays greppable in captured output (`pytest -rP`).
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -11,8 +12,6 @@ from contextlib import contextmanager
 from lamptwist.group import GroupElement, GroupParams, Torsion, project_element
 from lamptwist.automorphism import is_group_ring_unit, twist
 from lamptwist.reidemeister import (
-    INFINITE,
-    ExtNat,
     classify_r_infinity,
     crt_lift_preimage,
     finite_reidemeister_automorphism,
@@ -153,7 +152,7 @@ def test_criterion_5_abelian_cross_check():
             k = rng.randint(1, 4)
             mat = random_unimodular(rng, k)
             count = fixed_character_count(mat)
-            assert reidemeister_abelian(mat) == (ExtNat(count) if count else INFINITE)
+            assert reidemeister_abelian(mat) == (count if count else math.inf)
 
 
 FINITE_MODELS = ((3, 2, 1), (5, 2, 1), (3, 3, 1), (5, 4, 1), (3, 2, 2))

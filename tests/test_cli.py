@@ -740,6 +740,56 @@ class TestModelRefusal:
         assert run_hostile(capsys, "oracle", *argv) == f"error: {line}"
 
 
+class TestLongNumbers:
+    # an error line gives a number of over 40 digits by its order of magnitude when
+    # the line would reach 200 characters; argparse's own line is cut below 200
+    HUGE, NEG = "1" + "0" * 300, "-1" + "0" * 300
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["classify", "5", HUGE, "--no-write"],
+             "error: rank ~10^300 exceeds the supported maximum 200"),
+            (["classify", NEG, "1"], "error: modulus must be at least 2, got ~-10^300"),
+            (["oracle", NEG, "2", "1"], "error: modulus must be at least 2, got ~-10^300"),
+            (["classify", "5", NEG], "error: rank must be at least 1, got ~-10^300"),
+            (["oracle", "3", NEG, "1"], "error: box must be at least 1, got ~-10^300"),
+            (["oracle", "3", "2", "1", "--check", "projection", "--divisor", HUGE],
+             "error: divisor ~10^300 must be a nontrivial divisor of 3"),
+            (["oracle", "3", "2", "1" + "0" * 5000], None),
+            (["oracle", "3", "2", "1", "1" + "0" * 5000], None),
+        ],
+        ids=["classify-rank", "classify-modulus", "oracle-modulus", "classify-negative-rank",
+             "oracle-box", "oracle-divisor", "argparse-rank", "argparse-extra"],
+    )
+    def test_one_short_line(self, capsys, argv, line):
+        assert hostile_fault(capsys, *argv) is None
+        code, out, err = run(capsys, *argv)
+        # under 200 characters with the newline
+        assert code == 1 and out == "" and len(err.splitlines()) == 1 and len(err) < 200
+        if line is not None:
+            assert err == f"{line}\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["classify", "5"], "error: the following arguments are required: k"),
+            (["classify", "5", "x"], "error: argument k: invalid int value: 'x'"),
+            ([], "error: the following arguments are required: subcommand"),
+        ],
+    )
+    def test_argparse_failure_is_one_error_line(self, capsys, argv, line):
+        assert run(capsys, *argv) == (1, "", f"{line}\n")
+
+    def test_help_unchanged(self, capsys):
+        code, out, err = run(capsys, "oracle", "--help")
+        assert code == 0 and out.startswith("usage: lamptwist oracle [-h]") and err == ""
+
+    def test_long_factor_line_is_short(self, capsys):
+        code, _, err = run(capsys, "classify", str(10**300 + 7), "2", "--no-write")
+        assert code == 1 and err.startswith("error: cannot factor ~10^3") and len(err) < 200
+
+
 class TestOracle:
     def test_tbft_text(self, capsys):
         code, out, _ = run(capsys, "oracle", "3", "2", "1")

@@ -1,5 +1,6 @@
 import gzip
 import json
+import math
 import pathlib
 import random
 
@@ -8,14 +9,13 @@ import pytest
 from lamptwist.group import GroupParams, Torsion
 from lamptwist.automorphism import WreathAutomorphism
 from lamptwist.reidemeister import (
-    INFINITE,
-    ExtNat,
     classify_r_infinity,
     crt_lift_preimage,
     default_test_points,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
     reidemeister_number,
+    render_count,
     replay_certificate,
     restriction_difference,
     restriction_surjectivity,
@@ -30,18 +30,12 @@ BLOCK = ((0, 1), (-1, -1))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-class TestExtNat:
-    def test_str(self):
-        assert str(ExtNat(7)) == "7"
-        assert str(INFINITE) == "infinite"
-
-
 class TestLatticeCounts:
     def test_frozen_values(self):
-        assert reidemeister_abelian(((-1,),)) == ExtNat(2)
-        assert reidemeister_abelian(BLOCK) == ExtNat(3)
-        assert reidemeister_abelian(identity(3)) == INFINITE
-        assert reidemeister_abelian(((1, 1), (0, 1))) == INFINITE
+        assert reidemeister_abelian(((-1,),)) == 2
+        assert reidemeister_abelian(BLOCK) == 3
+        assert reidemeister_abelian(identity(3)) == math.inf
+        assert reidemeister_abelian(((1, 1), (0, 1))) == math.inf
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
@@ -53,7 +47,7 @@ class TestLatticeCounts:
             k = rng.randrange(1, 5)
             m = random_unimodular(rng, k)
             count = fixed_character_count(m)
-            assert reidemeister_abelian(m) == (ExtNat(count) if count else INFINITE)
+            assert reidemeister_abelian(m) == (count if count else math.inf)
 
     def test_matches_smith_diagonal(self):
         rng = random.Random(53)
@@ -64,7 +58,7 @@ class TestLatticeCounts:
             prod = 1
             for i in range(k):
                 prod *= d[i][i]
-            assert reidemeister_abelian(m) == (ExtNat(prod) if prod else INFINITE)
+            assert reidemeister_abelian(m) == (prod if prod else math.inf)
 
 
 class TestBlockMatrix:
@@ -212,7 +206,7 @@ class TestPipeline:
 
     def test_identity_is_infinite(self):
         result = reidemeister_number(WreathAutomorphism.identity(GroupParams(5, 2)))
-        assert result.value == INFINITE
+        assert result.value == math.inf
         assert result.certificate is None
 
     def test_unknown_result(self):
@@ -220,8 +214,8 @@ class TestPipeline:
             GroupParams(9, 1), ((-1,),), Torsion(9, 1, [((0,), 1), ((1,), 3)])
         )
         result = reidemeister_number(aut)
-        assert result.is_unknown and result.describe() == "unknown"
-        assert result.quotient == ExtNat(2)
+        assert result.value is None and result.describe() == "unknown"
+        assert result.quotient == 2
 
     def test_classification_matches_parity_rule(self):
         for n in range(2, 20):
@@ -233,6 +227,58 @@ class TestPipeline:
                     assert verdict.automorphism.is_valid
                     want = 2**k if n % 3 else 3 ** (k // 2)
                     assert verdict.reidemeister == want
+
+
+# one automorphism per route reidemeister_number can take
+ROUTES = {
+    "lattice-infinite": WreathAutomorphism.identity(GroupParams(5, 2)),
+    "template": finite_reidemeister_automorphism(5, 1),
+    "multi-point": WreathAutomorphism(
+        GroupParams(9, 1), ((-1,),), Torsion(9, 1, [((0,), 1), ((1,), 3)])
+    ),
+    "no-order": WreathAutomorphism(
+        GroupParams(5, 2), ((2, 1), (1, 1)), Torsion.delta(5, 2, (0, 0), 2)
+    ),
+    # M has order 4 and 1 - 2^4 = -15 is 0 mod 5
+    "non-invertible": WreathAutomorphism(
+        GroupParams(5, 2), ((0, -1), (1, 0)), Torsion.delta(5, 2, (0, 0), 2)
+    ),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_code(self, route):
+        result = reidemeister_number(ROUTES[route])
+        assert result.route == route
+        if result.certificate is not None:
+            assert result.certificate.route == route
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_value_and_certificate_encode_the_route(self, route):
+        # value is None exactly when R is unknown; certificate is None exactly
+        # when the lattice quotient alone decided R
+        result = reidemeister_number(ROUTES[route])
+        decided = route in ("lattice-infinite", "template")
+        assert (result.value is None) == (not decided)
+        assert (result.certificate is None) == (route == "lattice-infinite")
+        assert (result.describe() == "unknown") == (not decided)
+
+    def test_values_per_route(self):
+        assert reidemeister_number(ROUTES["lattice-infinite"]).value == math.inf
+        assert reidemeister_number(ROUTES["template"]).value == 2
+        assert [reidemeister_number(ROUTES[r]).quotient
+                for r in ("multi-point", "no-order", "non-invertible")] == [2, 1, 2]
+
+    def test_open_orbit_only_behind_a_lattice_infinite_map(self):
+        # det(I - M) = 0 here, so reidemeister_number never reaches the template
+        aut = WreathAutomorphism(GroupParams(5, 1), ((1,),), Torsion.delta(5, 1, (1,), 2))
+        assert restriction_surjectivity(aut).route == "open-orbit"
+        assert reidemeister_number(aut).route == "lattice-infinite"
+
+    def test_render_count(self):
+        counts = (7, 0, math.inf, None)
+        assert [render_count(x) for x in counts] == ["7", "0", "infinite", "unknown"]
 
 
 class TestCrtLift:
