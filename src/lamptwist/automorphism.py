@@ -28,7 +28,6 @@ from .matrix import (
     as_matrix,
     det,
     identity as identity_matrix,
-    mat_mul,
     mat_vec,
 )
 from .modular import factorize
@@ -62,8 +61,8 @@ class WreathAutomorphism:
     """Split-form automorphism of Z_n wr Z^k.
 
     Construction only checks shapes; `validate` decides whether the data is
-    a genuine automorphism, and `apply` and `compose` refuse triples that
-    fail it.  Instances are immutable; cached fields are computed once.
+    a genuine automorphism, and `apply` refuses triples that fail it.
+    Instances are immutable; cached fields are computed once.
     """
 
     __slots__ = ("params", "matrix", "origin_image", "cocycle", "_report")
@@ -190,25 +189,6 @@ class WreathAutomorphism:
 
     __call__ = apply
 
-    def compose(self, other: "WreathAutomorphism") -> "WreathAutomorphism":
-        """self after other."""
-        self._require_valid()
-        other._require_valid()
-        if self.params != other.params:
-            raise IncompatibleParams("cannot compose automorphisms of different groups")
-        k = self.params.rank
-        cocycle = tuple(
-            self.on_torsion(other.cocycle[i])
-            + self.cocycle_value(mat_vec(other.matrix, _basis(k, i)))
-            for i in range(k)
-        )
-        return WreathAutomorphism(
-            self.params,
-            mat_mul(self.matrix, other.matrix),
-            self.on_torsion(other.origin_image),
-            cocycle,
-        )
-
     def induce(self, divisor: int) -> "WreathAutomorphism":
         """Induced automorphism of Z_d wr Z^k for a divisor d of n."""
         n = self.params.modulus
@@ -253,17 +233,3 @@ class WreathAutomorphism:
 
 def _basis(k: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(k))
-
-
-def inner(gamma: GroupElement) -> WreathAutomorphism:
-    """Conjugation by gamma as a split triple (matrix is the identity)."""
-    params = gamma.params
-    n, k = params.modulus, params.rank
-    sigma = gamma.torsion
-    cocycle = tuple(sigma - sigma.shifted(_basis(k, i)) for i in range(k))
-    return WreathAutomorphism(params, identity_matrix(k), Torsion.delta(n, k, gamma.shift), cocycle)
-
-
-def twist(aut: WreathAutomorphism, gamma: GroupElement) -> WreathAutomorphism:
-    """Inner twist: conjugation by gamma composed after aut."""
-    return inner(gamma).compose(aut)

@@ -200,11 +200,20 @@ def _cmd_oracle(args):
 # -- parser -----------------------------------------------------------------------
 
 
+def _error_line(message) -> str:
+    """`error: message` and a newline, under 200 bytes in UTF-8: a longer line is cut
+    to its first 195 bytes, never inside a character, and ends in `...`."""
+    line = f"error: {message}"
+    data = line.encode("utf-8", "backslashreplace")  # as stderr writes a lone surrogate
+    if len(data) <= 198:
+        return f"{line}\n"
+    return data[:195].decode("utf-8", "ignore") + "...\n"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """One `error:` line, as for every other input error: no usage block, under 200 bytes."""
-        line = f"error: {message}"
-        self.exit(2, f"{line[:195]}...\n" if len(line) > 198 else f"{line}\n")
+        """One `error:` line, as for every other input error: no usage block."""
+        self.exit(2, _error_line(message))
 
 
 @functools.cache
@@ -275,7 +284,7 @@ def main(argv=None) -> int:
         sys.stdout.write(fileformat.dumps(payload) if args.format == "json" else text)
         return code
     except (ValueError, OSError) as exc:  # every bad-input error is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_INPUT
 
 

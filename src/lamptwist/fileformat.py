@@ -211,7 +211,7 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         raise SchemaError(f"missing field {exc.args[0]!r} in certificate data") from exc
     except (TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed certificate data: {exc}") from exc
-    # preimages walk orbits for up to `order` steps, so only the true order is taken
+    # a template's order is its lattice map's order: another is a malformed file, not a forgery
     if template is not None and template.order != matrix_order(aut.matrix):
         raise SchemaError(f"template order {template.order} is not the order of the lattice map")
     return SurjectivityCertificate(

@@ -213,14 +213,6 @@ class FiniteAutomorphism:
     def __call__(self, index: int) -> int:
         return int(self.table[index])
 
-    def twisted_by(self, g: int) -> "FiniteAutomorphism":
-        """Inner twist: conjugation by g composed after this automorphism."""
-        group = self.group
-        conjugation = group.translations([(g, group.inverses([g])[0])])[0]
-        return FiniteAutomorphism(
-            group, conjugation[self.table], provenance=f"tw[{g}]*{self.provenance}", check=False
-        )
-
     def shift_map(self) -> np.ndarray:
         """Induced permutation of the shift quotient (Z/mZ)^k."""
         pcount = self.group.point_count
@@ -620,17 +612,6 @@ def distinct_descents(
     for aut in auts:
         first.setdefault(descend_automorphism(aut, group), aut)
     return [(aut, fin) for fin, aut in first.items()]
-
-
-def zero_cocycle_catalog(group: FiniteWreathGroup) -> list[FiniteAutomorphism]:
-    """Descended single-point-unit automorphisms with zero cocycle, deduplicated."""
-    auts = zero_cocycle_automorphisms(group.modulus, group.rank, group.box)
-    return [fin for _, fin in distinct_descents(auts, group)]
-
-
-def inner_twists(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
-    """All inner twists of aut, deduplicated by their tables (g = identity first)."""
-    return list(dict.fromkeys(aut.twisted_by(g) for g in range(group.order)))
 
 
 # -- the oracle run -----------------------------------------------------------------

@@ -192,21 +192,6 @@ class Torsion:
             raise ValueError(f"divisor {divisor} does not divide modulus {self.modulus}")
         return Torsion._canonical(divisor, self.rank, dict(self._items))
 
-    def embedded(self, new_modulus: int) -> "Torsion":
-        """Coefficient-preserving inclusion into a larger modulus (not a ring map)."""
-        if new_modulus < 2 or new_modulus % self.modulus:
-            raise ValueError(f"{new_modulus} is not a multiple of {self.modulus}")
-        return Torsion._canonical(new_modulus, self.rank, dict(self._items))
-
-    def exact_div(self, factor: int) -> "Torsion":
-        """Divide every coefficient by a factor that must divide each exactly."""
-        acc: dict[Point, int] = {}
-        for p, c in self._items:
-            if c % factor:
-                raise ValueError(f"coefficient {c} at {p} is not divisible by {factor}")
-            acc[p] = c // factor
-        return Torsion._canonical(self.modulus, self.rank, acc)
-
     # -- plumbing ----------------------------------------------------------
 
     def render(self) -> str:
@@ -276,14 +261,6 @@ class GroupElement:
 
     def render(self) -> str:
         return f"({self.torsion.render()} ; {','.join(str(c) for c in self.shift)})"
-
-
-# -- operation-style entry points ------------------------------------------
-
-
-def project_element(g: GroupElement, divisor: int) -> GroupElement:
-    """Entire-group reduction: torsion coefficients mod d, shift untouched."""
-    return GroupElement(g.torsion.project(divisor), g.shift)
 
 
 def twisted_conjugate(h: GroupElement, g: GroupElement, phi: Callable[[GroupElement], GroupElement]) -> GroupElement:

@@ -69,19 +69,6 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_pow(m: IntMatrix, e: int) -> IntMatrix:
-    if e < 0:
-        raise ValueError("negative power")
-    out = identity(len(m))
-    base = m
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return out
-
-
 def det(m: IntMatrix) -> int:
     """Fraction-free Gaussian elimination (Bareiss); exact for any size."""
     k = len(m)
@@ -127,22 +114,3 @@ def matrix_order(m: IntMatrix) -> int | None:
             return None
         p = mat_mul(p, m)
     return None
-
-
-def random_unimodular(rng, k: int, steps: int = 12, coeff_bound: int = 3) -> IntMatrix:
-    """Product of random elementary row operations; always determinant +-1."""
-    a = [list(row) for row in identity(k)]
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i = rng.randrange(k)
-        j = rng.randrange(k)
-        if kind == 0 and i != j:
-            q = rng.randint(-coeff_bound, coeff_bound)
-            for c in range(k):
-                a[i][c] += q * a[j][c]
-        elif kind == 1 and i != j:
-            a[i], a[j] = a[j], a[i]
-        elif kind == 2:
-            for c in range(k):
-                a[i][c] = -a[i][c]
-    return tuple(tuple(row) for row in a)

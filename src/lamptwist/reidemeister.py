@@ -184,53 +184,6 @@ def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate
     return SurjectivityCertificate(aut, True, witnesses, template, route=route)
 
 
-# -- constructive CRT lifting --------------------------------------------------
-
-
-def crt_lift_preimage(
-    aut: WreathAutomorphism,
-    z,
-    cert_first: SurjectivityCertificate,
-    cert_second: SurjectivityCertificate | None = None,
-) -> Torsion:
-    """Preimage of the generator at z over a composite modulus n*m.
-
-    Uses the orbit-template preimage over the first factor, measures the
-    defect of its coefficient-preserving re-embedding, and corrects with
-    template preimages of the defect over the second factor.
-    `cert_second=None` handles the trivial split m=1.  The result is
-    verified exactly.
-    """
-    big = aut.params.modulus
-    k = aut.params.rank
-    z = tuple(int(c) for c in z)
-    n = cert_first.automorphism.params.modulus
-    m = 1 if cert_second is None else cert_second.automorphism.params.modulus
-    if n * m != big:
-        raise ValueError(f"split {n} * {m} does not match modulus {big}")
-    if cert_first.template is None or (cert_second is not None and cert_second.template is None):
-        raise ValueError("both factor certificates must carry an orbit template")
-    if cert_first.automorphism != aut.induce(n):
-        raise ValueError("first certificate does not match the induced automorphism")
-    if cert_second is not None and cert_second.automorphism != aut.induce(m):
-        raise ValueError("second certificate does not match the induced automorphism")
-
-    sigma = template_preimage(cert_first.automorphism, cert_first.template, z).embedded(big)
-    target = Torsion.delta(big, k, z)
-    defect = restriction_difference(aut, sigma) - target
-    if cert_second is not None:
-        theta = defect.exact_div(n)  # guaranteed by the projection identity
-        reduced = theta.project(m)
-        eta2 = Torsion.zero(m, k)
-        for pt, c in reduced.items():
-            eta = template_preimage(cert_second.automorphism, cert_second.template, pt)
-            eta2 = eta2 + eta.scaled(c)
-        sigma = sigma - eta2.embedded(big).scaled(n)
-    if restriction_difference(aut, sigma) != target:
-        raise AssertionError("lifted preimage failed exact verification")
-    return sigma
-
-
 # -- classification and the full pipeline --------------------------------------
 
 

@@ -13,7 +13,11 @@ composition against them.  `encode`, `decode`, `point_index`, `multiply` and
 `inverse` are the elementwise group law of a finite model, built only from
 its public `modulus`, `box`, `rank`, `points` and `point_count`, so they share
 no code with the numpy tables they check; `element_to_group` and
-`group_to_index` bridge it to Z_n wr Z^k.
+`group_to_index` bridge it to Z_n wr Z^k.  The remaining helpers build test
+inputs and the maps they are compared with: `mat_pow` and `random_unimodular`
+for lattice maps, `project_element` for reduction mod a divisor, `compose`,
+`inner` and `twist` for automorphisms of Z_n wr Z^k, and `twisted_by`,
+`zero_cocycle_catalog` and `inner_twists` for automorphisms of a finite model.
 """
 
 from math import gcd, prod
@@ -21,8 +25,10 @@ from math import gcd, prod
 import numpy as np
 
 from lamptwist.automorphism import WreathAutomorphism, is_group_ring_unit
-from lamptwist.finite import TwistedClassPartition
-from lamptwist.group import GroupElement, Torsion
+from lamptwist.finite import (
+    FiniteAutomorphism, TwistedClassPartition, distinct_descents, zero_cocycle_automorphisms
+)
+from lamptwist.group import GroupElement, IncompatibleParams, Torsion
 from lamptwist.matrix import as_matrix, det, identity, mat_mul, mat_sub, mat_vec, transpose
 from lamptwist.modular import crt, factorize
 
@@ -381,3 +387,95 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
     rank = {rep: i for i, rep in enumerate(reps)}
     labels = np.array([rank[mins[find(x)]] for x in range(order)], dtype=np.int64)
     return TwistedClassPartition(labels, np.array(reps, dtype=np.int64), len(reps))
+
+
+def mat_pow(m, e: int):
+    if e < 0:
+        raise ValueError("negative power")
+    out = identity(len(m))
+    base = m
+    while e:
+        if e & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return out
+
+
+def random_unimodular(rng, k: int, steps: int = 12, coeff_bound: int = 3):
+    """Product of random elementary row operations; always determinant +-1."""
+    a = [list(row) for row in identity(k)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i = rng.randrange(k)
+        j = rng.randrange(k)
+        if kind == 0 and i != j:
+            q = rng.randint(-coeff_bound, coeff_bound)
+            for c in range(k):
+                a[i][c] += q * a[j][c]
+        elif kind == 1 and i != j:
+            a[i], a[j] = a[j], a[i]
+        elif kind == 2:
+            for c in range(k):
+                a[i][c] = -a[i][c]
+    return tuple(tuple(row) for row in a)
+
+
+def project_element(g: GroupElement, divisor: int) -> GroupElement:
+    """Entire-group reduction: torsion coefficients mod d, shift untouched."""
+    return GroupElement(g.torsion.project(divisor), g.shift)
+
+
+def compose(aut: WreathAutomorphism, other: WreathAutomorphism) -> WreathAutomorphism:
+    """aut after other."""
+    aut._require_valid()
+    other._require_valid()
+    if aut.params != other.params:
+        raise IncompatibleParams("cannot compose automorphisms of different groups")
+    k = aut.params.rank
+    basis = identity(k)
+    cocycle = tuple(
+        aut.on_torsion(other.cocycle[i]) + aut.cocycle_value(mat_vec(other.matrix, basis[i]))
+        for i in range(k)
+    )
+    return WreathAutomorphism(
+        aut.params,
+        mat_mul(aut.matrix, other.matrix),
+        aut.on_torsion(other.origin_image),
+        cocycle,
+    )
+
+
+def inner(gamma: GroupElement) -> WreathAutomorphism:
+    """Conjugation by gamma as a split triple (matrix is the identity)."""
+    params = gamma.params
+    n, k = params.modulus, params.rank
+    sigma = gamma.torsion
+    basis = identity(k)
+    cocycle = tuple(sigma - sigma.shifted(basis[i]) for i in range(k))
+    return WreathAutomorphism(params, basis, Torsion.delta(n, k, gamma.shift), cocycle)
+
+
+def twist(aut: WreathAutomorphism, gamma: GroupElement) -> WreathAutomorphism:
+    """Inner twist: conjugation by gamma composed after aut."""
+    return compose(inner(gamma), aut)
+
+
+def twisted_by(f: FiniteAutomorphism, g: int) -> FiniteAutomorphism:
+    """Inner twist of a finite model's automorphism: conjugation by g composed after f."""
+    group = f.group
+    conjugation = group.translations([(g, group.inverses([g])[0])])[0]
+    return FiniteAutomorphism(
+        group, conjugation[f.table], provenance=f"tw[{g}]*{f.provenance}", check=False
+    )
+
+
+def zero_cocycle_catalog(group) -> list[FiniteAutomorphism]:
+    """Descended single-point-unit automorphisms with zero cocycle, deduplicated."""
+    auts = zero_cocycle_automorphisms(group.modulus, group.rank, group.box)
+    return [fin for _, fin in distinct_descents(auts, group)]
+
+
+def inner_twists(group, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
+    """All inner twists of aut, deduplicated by their tables (g = identity first)."""
+    return list(dict.fromkeys(twisted_by(aut, g) for g in range(group.order)))

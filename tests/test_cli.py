@@ -437,7 +437,7 @@ class TestHostileCertificate:
 
 
 DELETED = object()
-HOSTILE_VALUES = (DELETED, None, [], {}, "x", 10**30, -1, 1.5, True)
+HOSTILE_VALUES = (DELETED, None, [], {}, "x", 10**30, -1, 1.5, True, "é" * 3000)
 
 
 def json_paths(node, path=()):
@@ -468,8 +468,9 @@ def mutated(data, path, value):
 
 
 def hostile_fault(capsys, *argv):
-    """None when argv ends in exit 1 with one `error:` line, or in exit 0, 2 or 3
-    without a traceback, within 2 s; otherwise (exit code, stderr, seconds)."""
+    """None when argv ends in exit 1 with one `error:` line of under 200 bytes in UTF-8,
+    or in exit 0, 2 or 3 without a traceback, within 2 s; otherwise (exit code, stderr,
+    seconds)."""
     start = time.perf_counter()
     try:
         code, out, err = run(capsys, *argv)
@@ -478,6 +479,7 @@ def hostile_fault(capsys, *argv):
     seconds = time.perf_counter() - start
     lines = err.splitlines()
     refused = code == 1 and out == "" and len(lines) == 1 and lines[0].startswith("error:")
+    refused = refused and len(err.encode()) < 200
     answered = code in (0, 2, 3) and "Traceback" not in err
     if seconds >= 2.0 or not (refused or answered):
         return code, err, round(seconds, 2)
@@ -788,6 +790,72 @@ class TestLongNumbers:
     def test_long_factor_line_is_short(self, capsys):
         code, _, err = run(capsys, "classify", str(10**300 + 7), "2", "--no-write")
         assert code == 1 and err.startswith("error: cannot factor ~10^3") and len(err) < 200
+
+
+class TestLongStrings:
+    # an error line that echoes a long string is cut to under 200 bytes in UTF-8
+    LONG = "x" * 3000
+
+    @staticmethod
+    def short_line(capsys, *argv):
+        line = run_hostile(capsys, *argv)
+        assert len(f"{line}\n".encode()) < 200 and line.endswith("...")
+        return line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "3", "2", "1", "--check", LONG],
+            ["reidemeister", LONG],
+            ["classify", "5", "2", "--out", os.path.join("nonexistent", LONG)],
+            ["oracle", "3", "2", "é" * 3000],
+        ],
+        ids=["check-name", "missing-file", "unwritable-out", "argparse-non-ascii"],
+    )
+    def test_argument_echoed_in_one_short_line(self, capsys, argv):
+        self.short_line(capsys, *argv)
+
+    def test_cut_keeps_the_first_195_bytes(self, capsys):
+        line = self.short_line(capsys, "oracle", "3", "2", "1", "--check", self.LONG)
+        assert line == f"error: unknown check '{self.LONG}"[:195] + "..."
+
+    # "é" is two bytes: a line of 198 bytes stays whole, one of 200 keeps its first 195
+    # bytes, and a cut that would split a character keeps 194
+    @pytest.mark.parametrize(
+        "value, kept",
+        [("é" * 79, None), ("é" * 80, 195), ("x" + "é" * 80, 194)],
+        ids=["198-bytes", "cut", "cut-before-a-character"],
+    )
+    def test_cut_counts_bytes(self, capsys, value, kept):
+        line = f"error: argument k: invalid int value: '{value}'"
+        code, out, err = run(capsys, "oracle", "3", "2", value)
+        assert code == 1 and out == "" and len(err.encode()) < 200
+        if kept is None:
+            assert len(line.encode()) == 198 and err == f"{line}\n"
+        else:
+            assert err == line.encode()[:kept].decode() + "...\n"
+
+    def test_undecodable_file_name(self, capsys, tmp_path):
+        # bytes of a file name that are not UTF-8 reach the line as lone surrogates;
+        # they count as the backslash escapes stderr writes for them
+        name = "\udcff" * 100 + ".json"
+        (tmp_path / name).write_text("{", encoding="utf-8")
+        line = self.short_line(capsys, "verify", name)
+        assert line.startswith("error: invalid JSON in \\udcff\\udcff")
+
+    @pytest.mark.parametrize("field", ["kind", "status"])
+    def test_certificate_field(self, capsys, tmp_path, field):
+        run(capsys, "construct", "5", "1")
+        run(capsys, "reidemeister", "automorphism-n5-k1.json", "--emit-certificate", "c.json")
+        cert = fileformat.load(tmp_path / "c.json")
+        fileformat.save(tmp_path / "c.json", {**cert, field: self.LONG})
+        self.short_line(capsys, "verify", "c.json")
+
+    def test_torsion_term(self, capsys, tmp_path):
+        run(capsys, "construct", "5", "1")
+        aut = fileformat.load(tmp_path / "automorphism-n5-k1.json")
+        fileformat.save(tmp_path / "m.json", {**aut, "u": [self.LONG]})
+        assert self.short_line(capsys, "validate", "m.json").startswith("error: bad torsion term")
 
 
 class TestOracle:

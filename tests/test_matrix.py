@@ -11,16 +11,14 @@ from lamptwist.matrix import (
     identity,
     is_unimodular,
     mat_mul,
-    mat_pow,
     mat_sub,
     mat_vec,
     matrix_order,
-    random_unimodular,
     transpose,
 )
 
 import reference
-from reference import inverse_unimodular, reference_smith_normal_form
+from reference import inverse_unimodular, mat_pow, random_unimodular, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
 

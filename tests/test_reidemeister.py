@@ -10,7 +10,6 @@ from lamptwist.group import GroupParams, Torsion
 from lamptwist.automorphism import WreathAutomorphism
 from lamptwist.reidemeister import (
     classify_r_infinity,
-    crt_lift_preimage,
     default_test_points,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
@@ -23,8 +22,8 @@ from lamptwist.reidemeister import (
 )
 from lamptwist.fileformat import SchemaError, certificate_from_dict, certificate_to_dict
 from lamptwist.modular import crt, factorize
-from lamptwist.matrix import block_diagonal, identity, mat_pow, mat_sub, det, random_unimodular
-from reference import fixed_character_count, reference_smith_normal_form
+from lamptwist.matrix import block_diagonal, identity, mat_sub, det
+from reference import fixed_character_count, mat_pow, random_unimodular, reference_smith_normal_form
 
 BLOCK = ((0, 1), (-1, -1))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -279,46 +278,6 @@ class TestRoutes:
     def test_render_count(self):
         counts = (7, 0, math.inf, None)
         assert [render_count(x) for x in counts] == ["7", "0", "infinite", "unknown"]
-
-
-class TestCrtLift:
-    def test_lift_over_35(self):
-        aut = finite_reidemeister_automorphism(35, 1)
-        cert5 = restriction_surjectivity(aut.induce(5))
-        cert7 = restriction_surjectivity(aut.induce(7))
-        for z in [(0,), (1,), (-3,), (10,)]:
-            sigma = crt_lift_preimage(aut, z, cert5, cert7)
-            assert restriction_difference(aut, sigma) == Torsion.delta(35, 1, z)
-
-    def test_trivial_split(self):
-        aut = finite_reidemeister_automorphism(35, 1)
-        cert = restriction_surjectivity(aut)
-        sigma = crt_lift_preimage(aut, (2,), cert, None)
-        assert restriction_difference(aut, sigma) == Torsion.delta(35, 1, (2,))
-
-    def test_mismatched_split_rejected(self):
-        aut = finite_reidemeister_automorphism(35, 1)
-        cert5 = restriction_surjectivity(aut.induce(5))
-        with pytest.raises(ValueError):
-            crt_lift_preimage(aut, (0,), cert5, cert5)
-
-    def test_uncertified_factor_rejected(self):
-        aut = finite_reidemeister_automorphism(35, 1)
-        cert5 = restriction_surjectivity(aut.induce(5))
-        cert7 = restriction_surjectivity(aut.induce(7))
-        cert7 = cert7._replace(certified=False, template=None)
-        with pytest.raises(ValueError):
-            crt_lift_preimage(aut, (0,), cert5, cert7)
-
-    def test_factor_without_template_rejected(self):
-        # preimages come from the orbit template alone, so a certified flag is not enough
-        aut = finite_reidemeister_automorphism(35, 1)
-        cert5 = restriction_surjectivity(aut.induce(5))
-        cert7 = restriction_surjectivity(aut.induce(7))
-        with pytest.raises(ValueError, match="orbit template"):
-            crt_lift_preimage(aut, (0,), cert5, cert7._replace(template=None))
-        with pytest.raises(ValueError, match="orbit template"):
-            crt_lift_preimage(aut, (0,), cert5._replace(template=None), cert7)
 
 
 class TestCertificateSerialization:
