@@ -30,7 +30,7 @@ from .matrix import (
     identity as identity_matrix,
     mat_vec,
 )
-from .modular import factorize
+from .modular import bounded_message, factorize
 
 
 class InvalidAutomorphism(ValueError):
@@ -61,7 +61,8 @@ class WreathAutomorphism:
     """Split-form automorphism of Z_n wr Z^k.
 
     Construction only checks shapes; `validate` decides whether the data is
-    a genuine automorphism, and `apply` refuses triples that fail it.
+    a genuine automorphism, naming the first failure of each property, and
+    `apply` refuses triples that fail it.
     Instances are immutable; cached fields are computed once.
     """
 
@@ -112,24 +113,25 @@ class WreathAutomorphism:
         d = det(self.matrix)
         unimodular = d in (1, -1)
         if not unimodular:
-            failures.append(f"matrix determinant is {d}, not +-1")
+            failures.append(bounded_message("matrix determinant is {}, not +-1", d))
         unit = is_group_ring_unit(self.origin_image)
         if not unit:
             failures.append(
                 f"origin image {self.origin_image.render()} is not a unit "
                 f"mod {self.params.modulus}"
             )
-        consistent = True
-        k = self.params.rank
+        k, c = self.params.rank, self.cocycle
         images = tuple(zip(*self.matrix))  # M e_i is column i of M
-        for i in range(k):
-            for j in range(i + 1, k):
-                lhs = self.cocycle[i] + self.cocycle[j].shifted(images[i])
-                rhs = self.cocycle[j] + self.cocycle[i].shifted(images[j])
-                if lhs != rhs:
-                    consistent = False
-                    failures.append(f"cocycle values on axes {i} and {j} do not commute")
-        report = ValidationReport(unimodular, unit, consistent, tuple(failures))
+        zero = [t.is_zero() for t in c]
+        clash = next((
+            (i, j) for i in range(k) for j in range(i + 1, k)
+            # both sides vanish when both values are zero
+            if not (zero[i] and zero[j])
+            and c[i] + c[j].shifted(images[i]) != c[j] + c[i].shifted(images[j])
+        ), None)
+        if clash:
+            failures.append("cocycle values on axes {} and {} do not commute".format(*clash))
+        report = ValidationReport(unimodular, unit, clash is None, tuple(failures))
         object.__setattr__(self, "_report", report)
         return report
 

@@ -93,10 +93,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return len(m) == len(m[0]) and det(m) in (1, -1)
-
-
 def matrix_order(m: IntMatrix) -> int | None:
     """Least t >= 1 with m^t = identity, or None if no such t up to ORDER_CAP.
 

@@ -26,11 +26,9 @@ from .group import GroupParams, Point, Torsion
 from .matrix import (
     ORDER_THREE_BLOCK,
     IntMatrix,
-    as_matrix,
     block_diagonal,
     det,
     identity as identity_matrix,
-    is_unimodular,
     mat_sub,
     mat_vec,
     matrix_order,
@@ -47,11 +45,9 @@ def reidemeister_abelian(matrix: IntMatrix) -> int | float:
     """Twisted-class count of a unimodular lattice map: index of Im(1 - M).
 
     The index is the product of the Smith diagonal of I - M, that is
-    |det(I - M)|, and math.inf when the determinant vanishes.
+    |det(I - M)|, and math.inf when the determinant vanishes.  `matrix` is
+    the matrix of a validated automorphism, so it is unimodular.
     """
-    matrix = as_matrix(matrix)
-    if not is_unimodular(matrix):
-        raise ValueError("lattice map must be unimodular")
     d = det(mat_sub(identity_matrix(len(matrix)), matrix))
     return abs(d) if d else math.inf
 
@@ -265,7 +261,9 @@ def reidemeister_number(aut: WreathAutomorphism) -> ReidemeisterResult:
     Infinite when the lattice quotient count is infinite; equal to the
     quotient count when the restriction certificate is certified (the
     projection onto the lattice is then class-bijective); unknown otherwise.
+    Raises InvalidAutomorphism, on every route, when aut fails validation.
     """
+    aut._require_valid()
     quotient = reidemeister_abelian(aut.matrix)
     if quotient == math.inf:
         return ReidemeisterResult(quotient, "lattice-infinite", None)

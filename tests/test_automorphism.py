@@ -151,6 +151,20 @@ class TestValidation:
         assert not report.cocycle_consistent
         assert any("axes 0 and 1" in f for f in report.failures)
 
+    def test_zero_cocycle_pairs_skipped(self, monkeypatch):
+        calls = []
+        shifted = Torsion.shifted
+        monkeypatch.setattr(Torsion, "shifted", lambda t, z: calls.append(z) or shifted(t, z))
+        assert WreathAutomorphism.identity(GroupParams(5, 200)).validate().ok
+        assert calls == []
+
+    def test_long_determinant_by_magnitude(self):
+        big = 10**3000
+        aut = WreathAutomorphism(GroupParams(5, 2), ((big, 1), (1, big)), delta(5, 2, (0, 0)))
+        assert aut.validate().failures == ("matrix determinant is ~10^6000, not +-1",)
+        short = WreathAutomorphism(GroupParams(5, 2), ((10**150, 0), (0, 1)), delta(5, 2, (0, 0)))
+        assert short.validate().failures == (f"matrix determinant is {10**150}, not +-1",)
+
     def test_consistent_cocycle_from_conjugation(self):
         gamma = GroupElement(Torsion(5, 2, [((1, 0), 2), ((0, 1), 3)]), (1, -1))
         assert inner(gamma).validate().ok

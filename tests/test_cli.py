@@ -41,6 +41,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def save_huge_determinant(path):
+    """A rank-2 file whose matrix has determinant 10^6000 - 1, past Python's int printing."""
+    fileformat.save(path, {
+        "schema": 1, "modulus": 5, "rank": 2, "matrix": [[10**3000, 1], [1, 10**3000]],
+        "u": [{"coeff": 1, "point": [0, 0]}], "cocycle": [[], []],
+    })
+
+
+def save_swapped_axes(path):
+    """Rank 4, M swaps axes 0, 1 and axes 2, 3, c_i = (i + 1) D[0]: all six pairs clash."""
+    m = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    origin = Torsion.delta(5, 4, (0,) * 4)
+    cocycle = [origin.scaled(i + 1) for i in range(4)]
+    aut = WreathAutomorphism(GroupParams(5, 4), m, origin, cocycle)
+    fileformat.save(path, automorphism_to_dict(aut))
+
+
 class TestClassify:
     def test_finite_case_writes_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "classify", "5", "1")
@@ -157,6 +174,20 @@ class TestReidemeister:
         fileformat.save(tmp_path / "bad.json", data)
         code, _, err = run(capsys, "reidemeister", "bad.json")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["reidemeister"], ["oracle", "5", "1", "2", "--aut"]],
+        ids=["reidemeister", "oracle"],
+    )
+    def test_huge_determinant_refused_in_one_line(self, capsys, tmp_path, argv):
+        save_huge_determinant(tmp_path / "huge.json")
+        line = run_hostile(capsys, *argv, "huge.json")
+        assert line == "error: matrix determinant is ~10^6000, not +-1"
+
+    def test_refusal_names_one_clash(self, capsys, tmp_path):
+        save_swapped_axes(tmp_path / "swap.json")
+        line = run_hostile(capsys, "reidemeister", "swap.json")
+        assert line == "error: cocycle values on axes 0 and 1 do not commute"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "reidemeister", "nope.json")
@@ -644,6 +675,19 @@ class TestValidate:
         assert "u_is_unit = false" in out
         assert "failure:" in out
         assert out.rstrip().endswith("invalid")
+
+    def test_huge_determinant_by_magnitude(self, capsys, tmp_path):
+        save_huge_determinant(tmp_path / "huge.json")
+        code, out, _ = run(capsys, "validate", "huge.json")
+        assert code == 2
+        assert "\nfailure: matrix determinant is ~10^6000, not +-1\ninvalid\n" in out
+
+    def test_first_non_commuting_pair_only(self, capsys, tmp_path):
+        save_swapped_axes(tmp_path / "swap.json")
+        code, out, _ = run(capsys, "validate", "swap.json")
+        assert code == 2
+        failures = [line for line in out.splitlines() if line.startswith("failure:")]
+        assert failures == ["failure: cocycle values on axes 0 and 1 do not commute"]
 
     def test_json(self, capsys):
         run(capsys, "construct", "7", "1")

@@ -9,7 +9,6 @@ from lamptwist.matrix import (
     block_diagonal,
     det,
     identity,
-    is_unimodular,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -167,7 +166,7 @@ class TestInverse:
         for _ in range(60):
             k = rng.randrange(1, 5)
             m = random_unimodular(rng, k)
-            assert is_unimodular(m)
+            assert det(m) in (1, -1)
             assert mat_mul(m, inverse_unimodular(m)) == identity(k)
 
     def test_rejects_non_unit_determinant(self):
@@ -195,8 +194,8 @@ class TestSmithNormalForm:
             b = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
             u, d, v = reference_smith_normal_form(b)
             assert mat_mul(mat_mul(u, b), v) == d
-            assert is_unimodular(u)
-            assert is_unimodular(v)
+            assert det(u) in (1, -1)
+            assert det(v) in (1, -1)
             diag = snf_diagonal(b)
             for i in range(rows):
                 for j in range(cols):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from lamptwist.group import GroupParams, Torsion
-from lamptwist.automorphism import WreathAutomorphism
+from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism
 from lamptwist.reidemeister import (
     classify_r_infinity,
     default_test_points,
@@ -37,8 +37,9 @@ class TestLatticeCounts:
         assert reidemeister_abelian(((1, 1), (0, 1))) == math.inf
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            reidemeister_abelian(((2,),))
+        aut = WreathAutomorphism(GroupParams(5, 1), ((2,),), Torsion.delta(5, 1, (0,)))
+        with pytest.raises(InvalidAutomorphism):
+            reidemeister_number(aut)
 
     def test_character_count_agrees(self):
         rng = random.Random(51)
@@ -207,6 +208,18 @@ class TestPipeline:
         result = reidemeister_number(WreathAutomorphism.identity(GroupParams(5, 2)))
         assert result.value == math.inf
         assert result.certificate is None
+
+    @pytest.mark.parametrize(
+        "origin, cocycle",
+        [(Torsion.zero(5, 2), ()),
+         (Torsion.delta(5, 2, (0, 0)), (Torsion.delta(5, 2, (0, 0)), Torsion.zero(5, 2)))],
+        ids=["non-unit", "inconsistent-cocycle"],
+    )
+    def test_lattice_infinite_route_validates(self, origin, cocycle):
+        # det(I - I) = 0 would answer infinite before any certificate is built
+        aut = WreathAutomorphism(GroupParams(5, 2), identity(2), origin, cocycle)
+        with pytest.raises(InvalidAutomorphism):
+            reidemeister_number(aut)
 
     def test_unknown_result(self):
         aut = WreathAutomorphism(
