@@ -85,10 +85,20 @@ def save(path, obj) -> None:
         fh.write(dumps(obj))
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object: a repeated key is refused, where `json` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()  # set.add returns None, so the first key met twice is picked
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise SchemaError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def load(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_members)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         except RecursionError:
@@ -202,6 +212,8 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         witnesses = {}
         for entry in data.get("witnesses", []):
             pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
+            if pt in witnesses:
+                raise SchemaError(f"repeated witness point {pt}")
             witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)
         notes = data.get("notes", [])
         if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):

@@ -79,7 +79,6 @@ class FiniteWreathGroup:
                 modulus, npoints, npoints, self.order, budget,
             ))
         self._tables = None
-        self._conjugacy = None
 
     @property
     def identity(self) -> int:
@@ -165,11 +164,6 @@ class FiniteWreathGroup:
         torsion = self._torsion_maps(np.repeat(sa, pcount), addends)
         return self._elements(torsion.reshape(len(ta), pcount, -1), perms[front, sb[:, None]])
 
-    def conjugacy_partition(self) -> "TwistedClassPartition":
-        if self._conjugacy is None:
-            self._conjugacy = twisted_classes(self, identity_automorphism(self))
-        return self._conjugacy
-
 
 class FiniteAutomorphism:
     """Automorphism of a finite model, stored as a permutation table.
@@ -178,7 +172,9 @@ class FiniteAutomorphism:
     homomorphism (see `_verify`).
     """
 
-    def __init__(self, group: FiniteWreathGroup, table, provenance: str = "", check: bool = True):
+    def __init__(
+        self, group: FiniteWreathGroup, table, provenance: str = "anonymous", check: bool = True
+    ):
         self.group = group
         self.table = np.asarray(table, dtype=np.int32)
         self.provenance = provenance
@@ -196,8 +192,7 @@ class FiniteAutomorphism:
         T(x s_1 ... s_r) = T(x) T(s_1) ... T(s_r); at x = e this reads
         T(y) = T(s_1) ... T(s_r), hence T(x y) = T(x) T(y) for all x and y.
         """
-        group, table = self.group, self.table
-        name = self.provenance or "map"
+        group, table, name = self.group, self.table, self.provenance
         order = group.order
         in_range = table.min() >= 0 and table.max() < order  # bincount needs it
         if not in_range or np.any(np.bincount(table, minlength=order) != 1):
@@ -353,9 +348,9 @@ def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
             return labels
 
 
-def fixed_conjugacy_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> int:
-    """Number of ordinary conjugacy classes mapped to themselves by aut."""
-    labels, reps, _ = group.conjugacy_partition()
+def fixed_conjugacy_classes(ordinary: TwistedClassPartition, aut: FiniteAutomorphism) -> int:
+    """Number of the ordinary classes, the identity's partition, that aut maps to themselves."""
+    labels, reps, _ = ordinary
     return int(np.count_nonzero(labels[aut.table[reps]] == labels[reps]))
 
 
@@ -390,17 +385,20 @@ def _model_params(group: FiniteWreathGroup, **extra) -> str:
 
 
 def verify_tbft_finite(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition
+    group: FiniteWreathGroup,
+    aut: FiniteAutomorphism,
+    base: TwistedClassPartition,
+    ordinary: TwistedClassPartition,
 ) -> OracleCheck:
     """Twisted-class count against automorphism-fixed ordinary classes.
 
-    `base` is the partition of `aut`.
+    `base` is the partition of `aut`, `ordinary` that of the identity.
     """
     lhs = base.count
-    rhs = fixed_conjugacy_classes(group, aut)
+    rhs = fixed_conjugacy_classes(ordinary, aut)
     return OracleCheck(
         name="tbft",
-        params=_model_params(group, aut=aut.provenance or "anonymous"),
+        params=_model_params(group, aut=aut.provenance),
         passed=(lhs == rhs),
         lhs=lhs,
         rhs=rhs,
@@ -446,7 +444,7 @@ def verify_shift_invariance(
         del twists, parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
-        params = _model_params(group, aut=aut.provenance or "anonymous", g=g)
+        params = _model_params(group, aut=aut.provenance, g=g)
         twisted, other = counts[coset[g]], counts[coset[inverse[g]]]
         pairs, onto = classmap[g]
         checks += [
@@ -521,7 +519,7 @@ def verify_projection(
     `base` is the partition of `aut_big`.
     """
     pi = projection_index_map(big, small)
-    params = _model_params(big, d=small.modulus, aut=aut_big.provenance or "anonymous")
+    params = _model_params(big, d=small.modulus, aut=aut_big.provenance)
     diagram_bad = int(np.count_nonzero(aut_small.table[pi] != pi[aut_big.table]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
     part_small = twisted_classes(small, aut_small)
@@ -555,7 +553,7 @@ def verify_restriction_bound(
     the restriction's classes are the cosets of the image of x -> x - aut(x)
     and counting them reduces to an image size.
     """
-    params = _model_params(group, aut=aut.provenance or "anonymous")
+    params = _model_params(group, aut=aut.provenance)
     pcount = group.point_count
     images = aut.table[np.arange(group.torsion_count, dtype=np.int64) * pcount]
     preserved_bad = int(np.count_nonzero(images % pcount))
@@ -643,16 +641,16 @@ def run_checks(
         small = FiniteWreathGroup(divisor, group.box, group.rank, budget=group.order)
     samples = _shift_elements(group.order) if "shift" in checks else []
     try:
-        identity = np.arange(group.order)
+        identity, ordinary = np.arange(group.order), None
         for aut, fin in distinct_descents(sources, group):
-            if "tbft" not in checks or group._conjugacy is not None:
+            if "tbft" not in checks or ordinary is not None:
                 base = twisted_classes(group, fin)
             elif np.array_equal(fin.table, identity):
-                base = group._conjugacy = twisted_classes(group, fin)
+                base = ordinary = twisted_classes(group, fin)
             else:
-                base, group._conjugacy = _partitions(group, np.stack([fin.table, identity]))
+                base, ordinary = _partitions(group, np.stack([fin.table, identity]))
             if "tbft" in checks:
-                yield verify_tbft_finite(group, fin, base)
+                yield verify_tbft_finite(group, fin, base, ordinary)
             if "shift" in checks:
                 yield from verify_shift_invariance(group, fin, samples, base)
             if "restriction" in checks:

@@ -21,6 +21,7 @@ from lamptwist.reidemeister import (
 from lamptwist.finite import (
     FiniteWreathGroup,
     descend_automorphism,
+    identity_automorphism,
     twisted_classes,
     verify_projection,
     verify_tbft_finite,
@@ -147,9 +148,10 @@ def test_criterion_6_finite_tbft():
             group = FiniteWreathGroup(n, m, k, budget=10**7)
             if group.order > 2000:
                 continue
+            ordinary = twisted_classes(group, identity_automorphism(group))
             for f in zero_cocycle_catalog(group):
                 for tw in inner_twists(group, f):
-                    chk = verify_tbft_finite(group, tw, twisted_classes(group, tw))
+                    chk = verify_tbft_finite(group, tw, twisted_classes(group, tw), ordinary)
                     assert chk.passed, chk.line()
                     checked += 1
         assert checked >= 100

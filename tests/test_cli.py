@@ -467,6 +467,53 @@ class TestHostileCertificate:
         assert message in run_hostile(capsys, "verify", "c.json")
 
 
+class TestRepeatedEntries:
+    # of two equal JSON keys `json` keeps the last, and a dict of witnesses the last one
+    # per point: a false claim before a true one would never be replayed
+    @pytest.fixture
+    def cert(self, capsys, tmp_path):
+        run(capsys, "construct", "5", "2")
+        run(capsys, "reidemeister", "automorphism-n5-k2.json", "--emit-certificate", "c.json")
+        return fileformat.load(tmp_path / "c.json")
+
+    @staticmethod
+    def false_witness(cert):
+        """A copy of the (-1, 0) witness that claims the preimage 1*D[7,7]."""
+        witness = next(w for w in cert["witnesses"] if w["point"] == [-1, 0])
+        return {**witness, "preimage": [{"coeff": 1, "point": [7, 7]}]}
+
+    def test_false_witness_before_true_one(self, capsys, tmp_path, cert):
+        false = self.false_witness(cert)
+        alone = [false if w["point"] == [-1, 0] else w for w in cert["witnesses"]]
+        fileformat.save(tmp_path / "c.json", {**cert, "witnesses": alone})
+        code, out, _ = run(capsys, "verify", "c.json")
+        assert code == 2 and out.endswith("certificate rejected\n")  # the claim is false
+
+        cert["witnesses"].insert(0, false)
+        fileformat.save(tmp_path / "c.json", cert)
+        assert run_hostile(capsys, "verify", "c.json") == "error: repeated witness point (-1, 0)"
+
+    def test_repeated_witnesses_key(self, capsys, tmp_path, cert):
+        # the false array comes first, where a parser keeping the first value would read it
+        false = json.dumps([self.false_witness(cert)])
+        text = fileformat.dumps(cert)
+        text = text.replace('"witnesses":', f'"witnesses": {false}, "witnesses":')
+        (tmp_path / "c.json").write_text(text, encoding="utf-8")
+        assert run_hostile(capsys, "verify", "c.json") == (
+            "error: repeated key 'witnesses' in a JSON object"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "reidemeister"])
+    def test_repeated_modulus_key(self, capsys, tmp_path, command):
+        run(capsys, "construct", "5", "2")
+        text = (tmp_path / "automorphism-n5-k2.json").read_text(encoding="utf-8")
+        text = text.replace('"modulus": 5', '"modulus": 7,\n  "modulus": 5')
+        (tmp_path / "a.json").write_text(text, encoding="utf-8")
+        assert run_hostile(capsys, command, "a.json") == (
+            "error: repeated key 'modulus' in a JSON object"
+        )
+
+
 DELETED = object()
 HOSTILE_VALUES = (DELETED, None, [], {}, "x", 10**30, -1, 1.5, True, "é" * 3000)
 
@@ -1089,7 +1136,7 @@ class TestOracle:
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
         monkeypatch.setattr(
-            "lamptwist.finite.verify_tbft_finite", lambda g, f, base: broken
+            "lamptwist.finite.verify_tbft_finite", lambda g, f, base, ordinary: broken
         )
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
         assert code == 2

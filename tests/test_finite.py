@@ -211,7 +211,7 @@ class TestGroupModel:
         f = descend_automorphism(finite_reidemeister_automorphism(7, 2), g)
         part = twisted_classes(g, f)
         assert part.count == 4
-        chk = verify_tbft_finite(g, f, part)
+        chk = verify_tbft_finite(g, f, part, twisted_classes(g, identity_automorphism(g)))
         assert chk.passed and chk.lhs == 4, chk.line()
         assert sum(a.nbytes for a in g.ensure_tables().values()) < 1 << 20
 
@@ -311,7 +311,7 @@ class TestDescend:
         aut = twist(WreathAutomorphism.identity(GroupParams(3, 1)), gamma)
         f = descend_automorphism(aut, g)
         # inner automorphisms never change class counts
-        assert twisted_classes(g, f).count == g.conjugacy_partition().count
+        assert twisted_classes(g, f).count == twisted_classes(g, identity_automorphism(g)).count
 
     def test_matches_pointwise_application(self):
         g = FiniteWreathGroup(5, 2, 1)
@@ -375,7 +375,7 @@ class TestTwistedClasses:
         # Z_3 wr Z/2: torsion pairs split into 6 classes, the 9 swap-side
         # elements into 3 classes by coefficient sum
         g = FiniteWreathGroup(3, 2, 1)
-        assert g.conjugacy_partition().count == 9
+        assert twisted_classes(g, identity_automorphism(g)).count == 9
 
     def test_matches_unionfind(self):
         g = FiniteWreathGroup(3, 2, 1)
@@ -423,7 +423,7 @@ class TestTwistedClasses:
 
     def test_fixed_conjugacy_identity(self):
         g = FiniteWreathGroup(3, 2, 1)
-        assert fixed_conjugacy_classes(g, identity_automorphism(g)) == 9
+        assert fixed_conjugacy_classes(twisted_classes(g, i := identity_automorphism(g)), i) == 9
 
 
 def batch_automorphisms(group):
@@ -539,7 +539,9 @@ class TestOracleChecks:
         for n, m, k in [(3, 2, 1), (5, 2, 1), (3, 3, 1), (2, 2, 2)]:
             g = FiniteWreathGroup(n, m, k)
             for f in zero_cocycle_catalog(g):
-                chk = verify_tbft_finite(g, f, twisted_classes(g, f))
+                chk = verify_tbft_finite(
+                    g, f, twisted_classes(g, f), twisted_classes(g, identity_automorphism(g))
+                )
                 assert chk.passed, chk.line()
 
     def test_tbft_with_inner_twists(self):
@@ -549,7 +551,9 @@ class TestOracleChecks:
         assert twists[0] == f
         base = twisted_classes(g, f).count
         for tw in twists:
-            assert verify_tbft_finite(g, tw, twisted_classes(g, tw)).passed
+            assert verify_tbft_finite(
+                g, tw, twisted_classes(g, tw), twisted_classes(g, identity_automorphism(g))
+            ).passed
             assert twisted_classes(g, tw).count == base
 
     def test_inner_twists_of_identity_frozen_count(self):
@@ -615,4 +619,6 @@ class TestCatalogs:
         catalog = zero_cocycle_catalog(g)
         assert len(catalog) >= 2
         for f in catalog:
-            assert verify_tbft_finite(g, f, twisted_classes(g, f)).passed
+            assert verify_tbft_finite(
+                g, f, twisted_classes(g, f), twisted_classes(g, identity_automorphism(g))
+            ).passed
