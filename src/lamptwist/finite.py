@@ -14,13 +14,15 @@ multiplication table is ever formed.
 
 Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
 That is a genuine group action, so its orbits are already the connected
-components of the k+1 edge maps x -> s x f(s)^-1 for the generators s; they
-are found by min-label propagation with pointer jumping in O(|G|·(k+1)) work
-per round.  Many automorphisms of one model are counted in one propagation
-over the disjoint union of their graphs: the ordinary classes that a TBFT
-check needs (the identity's row) join the count of the automorphism's own
-classes, and the shift check feeds its inner twists to that count a bounded
-chunk at a time.
+components of the k+1 edge maps x -> s x f(s)^-1 for the generators s.  They
+are found by min-label propagation in the manner of Shiloach and Vishkin:
+each edge map's hook is followed at once by a pointer jump, in O(|G|·(k+1))
+work per round, and the rounds stop when the labels are flat and constant
+along every edge, a test made of gathers alone.  Many automorphisms of one
+model are counted in one propagation over the disjoint union of their graphs:
+the ordinary classes that a TBFT check needs (the identity's row) join the
+count of the automorphism's own classes, and the shift check feeds its inner
+twists to that count a bounded chunk at a time.
 Everything here is deterministic: representatives are minimal element
 indices and class ids are their ranks.
 """
@@ -102,13 +104,20 @@ class FiniteWreathGroup:
                 d //= n
             coords = np.array(self.points, dtype=np.int64)
             strides = np.array(self.strides, dtype=np.int64)
+            low = pcount // 2
             self._tables = {
                 "digits": digits,
                 "wt": n ** np.arange(pcount, dtype=np.int64),
                 # perms[s, p] is the point index of p + s, sneg[p] that of -p
                 "perms": (coords[:, None, :] + coords) % self.box @ strides,
                 "sneg": -coords % self.box @ strides,
+                # row h holds slot * n + digit for the digits of the high (low) half h
+                # of a torsion index: the term columns that `_torsion_maps` sums
+                "high": np.arange(low, pcount) * n + digits[: n ** (pcount - low), : pcount - low],
+                "low": np.arange(low) * n + digits[: n**low, :low],
             }
+            # s^-1 for every generator s, which every class count's edge maps read
+            self._tables["inverse_gens"] = self.inverses(self.generators())
         return self._tables
 
     def inverses(self, elements) -> np.ndarray:
@@ -129,16 +138,13 @@ class FiniteWreathGroup:
         about sqrt(T) values: O(T) work per row.
         """
         tables = self.ensure_tables()
-        digits, wt, perms = tables["digits"], tables["wt"], tables["perms"]
-        n, pcount = self.modulus, self.point_count
-        target = perms[shifts]  # slot i of c_t moves to slot target[r, i]
+        n = self.modulus
+        target = tables["perms"][shifts]  # slot i of c_t moves to slot target[r, i]
         added = np.asarray(addends)[np.arange(len(target))[:, None], target]
         # term[r, i * n + d]: the contribution of digit value d at slot i
-        term = (np.arange(n) + added[:, :, None]) % n * wt[target][:, :, None]
+        term = (np.arange(n) + added[:, :, None]) % n * tables["wt"][target][:, :, None]
         term = term.reshape(len(target), -1)
-        low = pcount // 2
-        high = term[:, np.arange(low, pcount) * n + digits[: n ** (pcount - low), : pcount - low]]
-        rest = term[:, np.arange(low) * n + digits[: n**low, :low]]
+        high, rest = term[:, tables["high"]], term[:, tables["low"]]
         out = high.sum(axis=2)[:, :, None] + rest.sum(axis=2)[:, None, :]
         return out.reshape(len(target), -1)
 
@@ -201,9 +207,9 @@ class FiniteAutomorphism:
         # rows x -> x s, then x -> x T(s), for every generator s
         maps = group.translations([(group.identity, s) for s in [*gens, *table[gens]]])
         lhs, rhs = table[maps[: len(gens)]], maps[len(gens) :, table]
-        for s, left, right in zip(gens, lhs, rhs):
-            if not np.array_equal(left, right):
-                raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
+        if not np.array_equal(lhs, rhs):
+            s = next(s for s, left, right in zip(gens, lhs, rhs) if not np.array_equal(left, right))
+            raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
 
     def __call__(self, index: int) -> int:
         return int(self.table[index])
@@ -308,7 +314,7 @@ def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]
     """
     order, gens = group.order, group.generators()
     rows = len(tables)
-    inverse_gens = group.inverses(gens)
+    inverse_gens = group.ensure_tables()["inverse_gens"]
     pairs = [(s, fs) for row in tables[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
     offsets = np.arange(0, rows * order, order, dtype=np.int64)
     edges = group.translations(pairs).reshape(rows, len(gens), order)
@@ -328,23 +334,24 @@ def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]
 def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
     """The least element of each element's orbit under the permutation rows of `edges`.
 
-    Min-label propagation: every edge x -> e(x) hooks the label of each end
-    onto the smaller of the two labels, then one pointer jump per round
-    shortens the label chains.  A label is always an element of the same
-    orbit and never larger than its element, so a round that changes nothing
-    leaves the labels flat and constant along every edge, each orbit labelled
-    by its least element.
+    Hook and jump: every edge x -> e(x) hooks the label of each end onto the
+    smaller of the two labels, and a pointer jump right after each edge's
+    hook shortens the label chains.  A label is always an element of the
+    same orbit and never larger than its element, so once the labels are
+    flat (each label labels itself) and constant along every edge, each
+    orbit is labelled by its least element.  That stop is tested by gathers
+    alone, after each round over the edges.
     """
     labels = np.arange(order, dtype=np.int64)
     while True:
-        before = labels.copy()
         for edge in edges:
-            here, there = labels.copy(), labels[edge]
+            here, there = labels, labels[edge]
             low = np.minimum(here, there)
+            labels = here.copy()
             np.minimum.at(labels, here, low)
             np.minimum.at(labels, there, low)
-        labels = labels[labels]
-        if np.array_equal(labels, before):
+            labels = labels[labels]
+        if (labels[labels] == labels).all() and (labels[edges] == labels).all():
             return labels
 
 

@@ -6,10 +6,12 @@ acceptance gate checks it against the unit criterion.  The solve diagonalizes
 over Z with the Smith normal form.  `fixed_character_count` counts the
 characters of Z^k that a lattice map fixes, from the same Smith normal form.
 `twisted_classes_unionfind` counts twisted classes by a literal union-find
-over every pair (h, x).  `group_ring_inverse` inverts a unit by Hensel
-lifting per prime power, `inverse_unimodular` inverts a lattice map by its
-adjugate, and `automorphism_inverse` combines the two; tests check
-composition against them.  `encode`, `decode`, `point_index`, `multiply` and
+over every pair (h, x), and `orbit_minima_unionfind` finds the least element
+of each orbit of a stack of edge maps by union-find over the edges.
+`group_ring_inverse` inverts a unit by Hensel lifting per prime power,
+`inverse_unimodular` inverts a lattice map by its adjugate, and
+`automorphism_inverse` combines the two; tests check composition against
+them.  `encode`, `decode`, `point_index`, `multiply` and
 `inverse` are the elementwise group law of a finite model, built only from
 its public `modulus`, `box`, `rank`, `points` and `point_count`, so they share
 no code with the numpy tables they check; `element_to_group` and
@@ -387,6 +389,28 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
     rank = {rep: i for i, rep in enumerate(reps)}
     labels = np.array([rank[mins[find(x)]] for x in range(order)], dtype=np.int64)
     return TwistedClassPartition(labels, np.array(reps, dtype=np.int64), len(reps))
+
+
+def orbit_minima_unionfind(edges, order: int) -> np.ndarray:
+    """The least element of each element's orbit under the edges x -> edge[x], by union-find.
+
+    Every union hangs the larger root under the smaller, so a set's root is
+    always its least element.
+    """
+    parent = list(range(order))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in edges:
+        for x, y in enumerate(np.asarray(edge).tolist()):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return np.array([find(x) for x in range(order)], dtype=np.int64)
 
 
 def mat_pow(m, e: int):

@@ -36,6 +36,7 @@ from reference import (
     inner_twists,
     inverse,
     multiply,
+    orbit_minima_unionfind,
     point_index,
     twist,
     twisted_by,
@@ -244,6 +245,28 @@ class TestFiniteAutomorphism:
         with pytest.raises(InvalidAutomorphism):
             FiniteAutomorphism(g, table)
 
+    def test_non_homomorphism_names_first_failing_generator(self):
+        # swap two cosets of <t>, t the origin generator, so the map is
+        # multiplicative at t and fails at both shift generators; the message
+        # names the first of them in generators() order
+        g = FiniteWreathGroup(2, 2, 2)
+        gens = g.generators()
+        t = gens[0]
+        a, b = 5, 9
+        coset_a, coset_b = [a, multiply(g, a, t)], [b, multiply(g, b, t)]
+        assert not {*coset_a, *coset_b} & {g.identity, t} and not set(coset_a) & set(coset_b)
+        table = np.arange(g.order, dtype=np.int32)
+        table[coset_a + coset_b] = coset_b + coset_a
+        failing = [
+            s
+            for s in gens
+            if any(table[multiply(g, x, s)] != multiply(g, table[x], table[s]) for x in range(g.order))
+        ]
+        assert failing == gens[1:]
+        with pytest.raises(InvalidAutomorphism) as info:
+            FiniteAutomorphism(g, table, provenance="swapped")
+        assert str(info.value) == f"swapped is not multiplicative at generator {failing[0]}"
+
     def test_twisted_by_is_conjugation(self):
         g = FiniteWreathGroup(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
@@ -424,6 +447,83 @@ class TestTwistedClasses:
     def test_fixed_conjugacy_identity(self):
         g = FiniteWreathGroup(3, 2, 1)
         assert fixed_conjugacy_classes(twisted_classes(g, i := identity_automorphism(g)), i) == 9
+
+
+def spy_orbit_minima(monkeypatch):
+    """Record each call of `finite._orbit_minima` as (edges, order, minima)."""
+    calls = []
+    real = finite._orbit_minima
+
+    def spy(edges, order):
+        minima = real(edges, order)
+        calls.append((edges, order, minima.copy()))  # the caller subtracts its offsets in place
+        return minima
+
+    monkeypatch.setattr(finite, "_orbit_minima", spy)
+    return calls
+
+
+def assert_orbit_minima(edges, order, minima):
+    """`minima` are the union-find orbit minima of `edges`, and flat."""
+    assert minima.dtype == np.int64
+    assert np.array_equal(minima, orbit_minima_unionfind(edges, order))
+    assert np.array_equal(minima[minima], minima)
+
+
+def permutation_rows(rng, order, gens, kind):
+    """`gens` permutations of range(order) of one kind."""
+    ids = np.arange(order)
+    if kind == "identity":
+        return np.tile(ids, (gens, 1))
+    if kind == "descending":  # one cycle x -> x - 1, whose label chains are longest
+        return np.tile(np.roll(ids, 1), (gens, 1))
+    if kind == "swaps":  # a few transpositions, most elements fixed
+        rows = np.tile(ids, (gens, 1))
+        for row in rows:
+            pairs = rng.choice(order, size=2 * (order // 8), replace=False).reshape(2, -1)
+            row[pairs[0]], row[pairs[1]] = pairs[1], pairs[0]
+        return rows
+    return np.stack([rng.permutation(order) for _ in range(gens)])
+
+
+class TestOrbitMinima:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_permutation_stacks(self, seed):
+        # rows stacked as `_partitions` stacks them: row r's edges offset by
+        # r * order, so the stack is one disjoint union graph.  Small orders
+        # often end a round with flat labels that still differ along an edge
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            order, gens = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            kinds = ["identity", "random", "descending", "swaps"]
+            kinds += list(rng.choice(kinds, size=int(rng.integers(0, 4))))
+            rng.shuffle(kinds)
+            rows = [permutation_rows(rng, order, gens, kind) + r * order for r, kind in enumerate(kinds)]
+            edges = np.concatenate(rows, axis=1)
+            nodes = len(kinds) * order
+            assert_orbit_minima(edges, nodes, finite._orbit_minima(edges, nodes))
+
+    def test_edges_of_a_large_model(self, monkeypatch):
+        # the identity and three catalog maps of order 4374, stacked in one count
+        g = FiniteWreathGroup(3, 6, 1)
+        assert g.order == 4374
+        auts = [descend_automorphism(a, g) for a in zero_cocycle_automorphisms(3, 1, 6)[1::11]]
+        calls = spy_orbit_minima(monkeypatch)
+        finite._partitions(g, np.stack([identity_automorphism(g).table] + [f.table for f in auts]))
+        ((edges, order, minima),) = calls
+        assert edges.shape == (len(g.generators()), order) and order == 4 * g.order
+        assert_orbit_minima(edges, order, minima)
+
+    def test_edges_of_inner_twists(self, monkeypatch):
+        # the chunks of inner twists that the shift check counts on (7, 3, 1)
+        g = FiniteWreathGroup(7, 3, 1)
+        f = zero_cocycle_catalog(g)[-1]
+        base = twisted_classes(g, f)
+        calls = spy_orbit_minima(monkeypatch)
+        verify_shift_invariance(g, f, finite._shift_elements(g.order), base)
+        assert len(calls) > 1 and max(order for _, order, _ in calls) > g.order
+        for call in calls:
+            assert_orbit_minima(*call)
 
 
 def batch_automorphisms(group):
