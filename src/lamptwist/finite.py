@@ -7,10 +7,18 @@ points (lexicographic order), then the shift in base m, so that
     index = torsion_index * m^k + shift_index.
 
 The model has one arithmetic, the numpy digit tables of this encoding
-(`ensure_tables`); there is no per-element path.  Whole-group arrays (the
-translations x -> a x b, inverses, descended automorphisms, reductions mod a
-divisor) are built from them; a translation costs O(|G|) work, and no
-multiplication table is ever formed.
+(`ensure_tables`); there is no per-element path.  Translations x -> a x b,
+inverses, elementwise products and reductions mod a divisor are built from
+them; a translation costs O(|G|) work, and no multiplication table is ever
+formed.
+
+A descended automorphism is kept as its formula f(c, z) = (U c + corr[z], M z),
+which `at` evaluates only where a check reads it: at the generator inverses
+once (a class count reads nothing else), at the class representatives for
+tbft and at the torsion elements for restriction.  Only the projection check
+builds a whole table.  The formula's guard is exact and costs O(k·m^2k)
+work: z -> M z permutes the box, det U is a unit mod n, and the formula is
+multiplicative at every generator, which is an identity over the box points.
 
 Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
 That is a genuine group action, so its orbits are already the connected
@@ -32,13 +40,14 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
 from .group import GroupParams, Torsion
-from .matrix import ORDER_THREE_BLOCK, block_diagonal, check_rank, identity as identity_matrix
+from .matrix import ORDER_THREE_BLOCK, block_diagonal, check_rank, det, identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
 from .modular import bounded_message
 
@@ -129,6 +138,17 @@ class FiniteWreathGroup:
         torsion = (-tables["digits"][t] % self.modulus * tables["wt"][tables["perms"][neg]]).sum(1)
         return torsion * self.point_count + neg
 
+    def products(self, a, b) -> np.ndarray:
+        """a[i] b[i] for every i: (c, z)(d, w) = (c + z . d, z + w)."""
+        tables = self.ensure_tables()
+        digits, perms = tables["digits"], tables["perms"]
+        pcount = self.point_count
+        (ta, sa), (tb, sb) = (np.divmod(np.asarray(x, dtype=np.int64), pcount) for x in (a, b))
+        # slot j of z . d holds d[j - z]
+        moved = np.take_along_axis(digits[tb], perms[tables["sneg"][sa]], axis=1)
+        torsion = (digits[ta] + moved) % self.modulus @ tables["wt"]
+        return torsion * pcount + perms[sa, sb]
+
     def _torsion_maps(self, shifts, addends) -> np.ndarray:
         """Row r sends every torsion index t to shifts[r] . c_t + addends[r].
 
@@ -175,7 +195,11 @@ class FiniteAutomorphism:
     """Automorphism of a finite model, stored as a permutation table.
 
     Construction verifies, exactly, that the table is a bijection and a
-    homomorphism (see `_verify`).
+    homomorphism (see `_verify`).  The checks read an automorphism through
+    `at`, which evaluates it on an index array, and `images`, its values at
+    the generator inverses s^-1; only the projection check reads the whole
+    `table`.  Two automorphisms of one model are equal when their images
+    are: a homomorphism is fixed by its values on generators.
     """
 
     def __init__(
@@ -188,6 +212,7 @@ class FiniteAutomorphism:
             raise ValueError("automorphism table has the wrong length")
         if check:
             self._verify()
+        self.images = self._images()
 
     def _verify(self):
         """Check bijectivity, then T(x s) == T(x) T(s) for every x and generator s.
@@ -211,19 +236,84 @@ class FiniteAutomorphism:
             s = next(s for s, left, right in zip(gens, lhs, rhs) if not np.array_equal(left, right))
             raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
 
+    def _images(self) -> tuple[int, ...]:
+        return tuple(self.at(self.group.ensure_tables()["inverse_gens"]).tolist())
+
+    def at(self, indices) -> np.ndarray:
+        """The image of every element of an index array, as int64."""
+        return self.table[indices].astype(np.int64)
+
     def __call__(self, index: int) -> int:
-        return int(self.table[index])
+        return int(self.at(index))
 
     def shift_map(self) -> np.ndarray:
         """Induced permutation of the shift quotient (Z/mZ)^k."""
         pcount = self.group.point_count
-        return self.table[np.arange(pcount)] % pcount
+        return self.at(np.arange(pcount)) % pcount
+
+    def _key(self):
+        group = self.group
+        return group.modulus, group.box, group.rank, self.images
 
     def __eq__(self, other):
-        return isinstance(other, FiniteAutomorphism) and np.array_equal(self.table, other.table)
+        return isinstance(other, FiniteAutomorphism) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.table.tobytes())
+        return hash(self._key())
+
+
+class DescendedAutomorphism(FiniteAutomorphism):
+    """The map (c, z) -> (U c + corr[z], S z) of a finite model, kept as its formula.
+
+    Row p of `u_rows` is U applied to the lamp at slot p, row z of `corr` is
+    a digit vector, and `shift[z]` is the point index of S z.  `at` costs
+    O(m^2k) work per element, and the whole table is built only when it is
+    read.  Construction checks, exactly, that the formula is an automorphism
+    (see `_guard`).
+    """
+
+    def __init__(self, group: FiniteWreathGroup, u_rows, corr, shift, provenance: str):
+        self.group, self.provenance = group, provenance
+        self.u_rows, self.corr, self.shift = u_rows, corr, shift
+        self._guard()
+        self.images = self._images()
+
+    def _guard(self):
+        """`_verify`'s test on the formula, with its messages, in O(k·m^2k) work.
+
+        f is a bijection exactly when S permutes the box and U is
+        invertible, that is det U is a unit mod n.  f(x s) = f(x) f(s) for
+        every x = (c, z) reduces, c cancelling, to an identity over the box
+        points z: at the lamp generator a = (e_0, 0), S 0 = 0 and
+        U e_z = S(z) . (U e_0 + corr[0]); at the shift generator (0, e_i),
+        S(z + e_i) = S z + S e_i and corr[z + e_i] = corr[z] + S(z) . corr[e_i].
+        """
+        group, name = self.group, self.provenance
+        n, pcount = group.modulus, group.point_count
+        tables = group.ensure_tables()
+        perms, shift, u_rows, corr = tables["perms"], self.shift, self.u_rows, self.corr
+        permutes = np.array_equal(np.sort(shift), np.arange(pcount))
+        if not permutes or gcd(det(u_rows.tolist()), n) != 1:
+            raise InvalidAutomorphism(f"{name} is not a bijection")
+        # row z of v[moved] is v translated by S z: (w . v)[j] = v[j - w]
+        moved = perms[tables["sneg"][shift]]
+        gens = group.generators()
+        if shift[0] != 0 or np.any(u_rows != (u_rows[0] + corr[0])[moved] % n):
+            raise InvalidAutomorphism(f"{name} is not multiplicative at generator {gens[0]}")
+        for e in gens[1:]:
+            additive = np.array_equal(shift[perms[e]], perms[shift[e], shift])
+            if not additive or np.any(corr[perms[e]] != (corr + corr[e][moved]) % n):
+                raise InvalidAutomorphism(f"{name} is not multiplicative at generator {e}")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return self.at(np.arange(self.group.order)).astype(np.int32)
+
+    def at(self, indices) -> np.ndarray:
+        tables = self.group.ensure_tables()
+        t, s = np.divmod(np.asarray(indices, dtype=np.int64), self.group.point_count)
+        lamps = (tables["digits"][t] @ self.u_rows + self.corr[s]) % self.group.modulus
+        return (lamps @ tables["wt"]) * self.group.point_count + self.shift[s]
 
 
 def identity_automorphism(group: FiniteWreathGroup) -> FiniteAutomorphism:
@@ -241,7 +331,8 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
     DescentError is raised.  The cocycle values on the box follow from the
     crossed-homomorphism identity corr(p + e_i) = corr(p) + shift(M p) c_i,
     filled in lexicographic order from corr(0) = 0, all on digit vectors.
-    The result is checked to be a genuine automorphism of the model.
+    The result is the formula (c, z) -> (U c + corr[z], M z), where row p
+    of U is shift(M p) u; it is checked to be an automorphism of the model.
     """
     aut._require_valid()
     if aut.params.modulus != group.modulus or aut.params.rank != group.rank:
@@ -276,12 +367,8 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
             i -= 1
         corr[q] = (corr[q - strides[i]] + steps[i][q - strides[i]]) % n
 
-    # (c, z) -> (U c + corr[z], M z), with U the linear map whose row p is shift(M p) u
     u_rows = reduce_vec(aut.origin_image)[moved]
-    linear = ((tables["digits"] @ u_rows) % n) @ tables["wt"]
-    added = group._torsion_maps(np.zeros(pcount, dtype=np.int64), corr)
-    table = group._elements(added[None, :, linear], [shift_map])[0]
-    return FiniteAutomorphism(group, table, provenance=f"descended({aut.label()})")
+    return DescendedAutomorphism(group, u_rows, corr, shift_map, f"descended({aut.label()})")
 
 
 # -- twisted classes -----------------------------------------------------------
@@ -301,21 +388,20 @@ class TwistedClassPartition(NamedTuple):
 
 def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
     """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
-    return _partitions(group, aut.table[None, :])[0]
+    return _partitions(group, [aut.images])[0]
 
 
-def _partitions(group: FiniteWreathGroup, tables) -> list[TwistedClassPartition]:
-    """`twisted_classes` of every row of a stack of automorphism tables.
+def _partitions(group: FiniteWreathGroup, images) -> list[TwistedClassPartition]:
+    """`twisted_classes` of automorphisms f given by rows of images f(s^-1), s the generators.
 
-    The rows form one graph: row r's edge maps are offset by r·|G|, so its
-    orbits are the components in [r·|G|, (r+1)·|G|) and one propagation
-    finds the orbit minima of the whole stack.  Each table is a
-    homomorphism, so f(s)^-1 is read off as f(s^-1).
+    f is a homomorphism, so f(s)^-1 = f(s^-1) and row r's edge maps are
+    x -> s x f(s^-1).  The rows form one graph: row r's edge maps are offset
+    by r·|G|, so its orbits are the components in [r·|G|, (r+1)·|G|) and one
+    propagation finds the orbit minima of the whole stack.
     """
     order, gens = group.order, group.generators()
-    rows = len(tables)
-    inverse_gens = group.ensure_tables()["inverse_gens"]
-    pairs = [(s, fs) for row in tables[:, inverse_gens].tolist() for s, fs in zip(gens, row)]
+    rows = len(images)
+    pairs = [(s, fs) for row in images for s, fs in zip(gens, row)]
     offsets = np.arange(0, rows * order, order, dtype=np.int64)
     edges = group.translations(pairs).reshape(rows, len(gens), order)
     edges += offsets[:, None, None]
@@ -358,7 +444,7 @@ def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
 def fixed_conjugacy_classes(ordinary: TwistedClassPartition, aut: FiniteAutomorphism) -> int:
     """Number of the ordinary classes, the identity's partition, that aut maps to themselves."""
     labels, reps, _ = ordinary
-    return int(np.count_nonzero(labels[aut.table[reps]] == labels[reps]))
+    return int(np.count_nonzero(labels[aut.at(reps)] == labels[reps]))
 
 
 # -- verification reports --------------------------------------------------------
@@ -443,12 +529,14 @@ def verify_shift_invariance(
     central = {g: base for g in elements if coset[inverse[g]] == group.identity}
     counts, classmap = {group.identity: base.count}, _class_maps(group, base, central)
     for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
-        twists = group.translations(list(zip(chunk, group.inverses(chunk))))[:, aut.table]
-        parts = dict(zip(chunk, _partitions(group, twists)))
+        # the twist by c sends s^-1 to c f(s^-1) c^-1
+        left = np.repeat(chunk, len(aut.images))
+        images = group.products(group.products(left, aut.images * len(chunk)), group.inverses(left))
+        parts = dict(zip(chunk, _partitions(group, images.reshape(len(chunk), -1).tolist())))
         counts.update((c, part.count) for c, part in parts.items())
         moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}
         classmap.update(_class_maps(group, base, moved))
-        del twists, parts, moved  # freed before the next chunk is counted
+        del parts, moved  # freed before the next chunk is counted
     checks = []
     for g in elements:
         params = _model_params(group, aut=aut.provenance, g=g)
@@ -562,7 +650,7 @@ def verify_restriction_bound(
     """
     params = _model_params(group, aut=aut.provenance)
     pcount = group.point_count
-    images = aut.table[np.arange(group.torsion_count, dtype=np.int64) * pcount]
+    images = aut.at(np.arange(group.torsion_count, dtype=np.int64) * pcount)
     preserved_bad = int(np.count_nonzero(images % pcount))
     checks = [
         OracleCheck("restriction-preserved", params, preserved_bad == 0, preserved_bad, 0)
@@ -612,7 +700,10 @@ def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorph
 def distinct_descents(
     auts: Iterable[WreathAutomorphism], group: FiniteWreathGroup
 ) -> list[tuple[WreathAutomorphism, FiniteAutomorphism]]:
-    """Each automorphism with its descent to `group`; of equal tables only the first is kept."""
+    """Each automorphism with its descent to `group`; of equal descents only the first is kept.
+
+    Descents are compared by their generator images, which is exact.
+    """
     first = {}
     for aut in auts:
         first.setdefault(descend_automorphism(aut, group), aut)
@@ -648,14 +739,15 @@ def run_checks(
         small = FiniteWreathGroup(divisor, group.box, group.rank, budget=group.order)
     samples = _shift_elements(group.order) if "shift" in checks else []
     try:
-        identity, ordinary = np.arange(group.order), None
+        # the identity's images of the generator inverses are the inverses themselves
+        identity, ordinary = tuple(group.ensure_tables()["inverse_gens"].tolist()), None
         for aut, fin in distinct_descents(sources, group):
             if "tbft" not in checks or ordinary is not None:
                 base = twisted_classes(group, fin)
-            elif np.array_equal(fin.table, identity):
+            elif fin.images == identity:
                 base = ordinary = twisted_classes(group, fin)
             else:
-                base, ordinary = _partitions(group, np.stack([fin.table, identity]))
+                base, ordinary = _partitions(group, [fin.images, identity])
             if "tbft" in checks:
                 yield verify_tbft_finite(group, fin, base, ordinary)
             if "shift" in checks:

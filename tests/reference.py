@@ -20,6 +20,9 @@ inputs and the maps they are compared with: `mat_pow` and `random_unimodular`
 for lattice maps, `project_element` for reduction mod a divisor, `compose`,
 `inner` and `twist` for automorphisms of Z_n wr Z^k, and `twisted_by`,
 `zero_cocycle_catalog` and `inner_twists` for automorphisms of a finite model.
+`whole_table_descent` is the descent that built every automorphism's whole
+table from the model's digit tables before descents were evaluated by their
+formula; the tests compare the formula with it.
 """
 
 from math import gcd, prod
@@ -28,7 +31,11 @@ import numpy as np
 
 from lamptwist.automorphism import WreathAutomorphism, is_group_ring_unit
 from lamptwist.finite import (
-    FiniteAutomorphism, TwistedClassPartition, distinct_descents, zero_cocycle_automorphisms
+    DescentError,
+    FiniteAutomorphism,
+    TwistedClassPartition,
+    distinct_descents,
+    zero_cocycle_automorphisms,
 )
 from lamptwist.group import GroupElement, IncompatibleParams, Torsion
 from lamptwist.matrix import as_matrix, det, identity, mat_mul, mat_sub, mat_vec, transpose
@@ -503,3 +510,42 @@ def zero_cocycle_catalog(group) -> list[FiniteAutomorphism]:
 def inner_twists(group, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
     """All inner twists of aut, deduplicated by their tables (g = identity first)."""
     return list(dict.fromkeys(twisted_by(aut, g) for g in range(group.order)))
+
+
+def whole_table_descent(aut: WreathAutomorphism, group) -> np.ndarray:
+    """The image table of `aut` descended to `group`, built over the whole group.
+
+    Same recurrences as `descend_automorphism`: each axis's cocycle
+    obstruction, then the box's cocycle values corr(p + e_i) = corr(p) +
+    shift(M p) c_i.  The table applies the linear part to every torsion
+    index, adds corr(z) with the model's per-shift torsion maps, and pairs
+    the result with the reduced shift map.
+    """
+    aut._require_valid()
+    n, k, m = group.modulus, group.rank, group.box
+    pcount, strides = group.point_count, group.strides
+    tables = group.ensure_tables()
+
+    def reduce_vec(t: Torsion) -> np.ndarray:
+        vec = np.zeros(pcount, dtype=np.int64)
+        for p, c in t.items():
+            vec[sum(x % m * stride for x, stride in zip(p, strides))] += c
+        return vec % n
+
+    reduced = np.array([[x % m for x in row] for row in aut.matrix], dtype=np.int64)
+    shift_map = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
+    moved = tables["perms"][tables["sneg"][shift_map]]
+    steps = [reduce_vec(c)[moved] for c in aut.cocycle]
+    for i, step in enumerate(steps):
+        if np.any(step[np.arange(m) * strides[i]].sum(axis=0) % n):
+            raise DescentError(f"cocycle obstruction on axis {i}")
+    corr = np.zeros((pcount, pcount), dtype=np.int64)
+    for q in range(1, pcount):
+        i = k - 1
+        while q // strides[i] % m == 0:
+            i -= 1
+        corr[q] = (corr[q - strides[i]] + steps[i][q - strides[i]]) % n
+    u_rows = reduce_vec(aut.origin_image)[moved]
+    linear = ((tables["digits"] @ u_rows) % n) @ tables["wt"]
+    added = group._torsion_maps(np.zeros(pcount, dtype=np.int64), corr)
+    return group._elements(added[None, :, linear], [shift_map])[0]

@@ -1074,13 +1074,13 @@ class TestOracle:
 
     @staticmethod
     def spy_counts(monkeypatch):
-        """Record every row that `finite._partitions` counts as (modulus, int64 table bytes)."""
+        """Record every row that `finite._partitions` counts as (modulus, generator images)."""
         counted = []
         real = finite._partitions
 
-        def spy(group, tables):
-            counted.extend((group.modulus, t.astype(np.int64).tobytes()) for t in tables)
-            return real(group, tables)
+        def spy(group, images):
+            counted.extend((group.modulus, tuple(row)) for row in images)
+            return real(group, images)
 
         monkeypatch.setattr(finite, "_partitions", spy)
         return counted
@@ -1099,23 +1099,23 @@ class TestOracle:
         for name in ("tbft", "shift-count", "restriction-bound", "projection-bound"):
             assert f"CHECK {name} " in out
         group = finite.FiniteWreathGroup(9, 2, 1)
-        table = finite.descend_automorphism(aut, group).table.astype(np.int64)
-        identity = np.arange(group.order, dtype=np.int64)
-        assert counted.count((9, table.tobytes())) == 1
-        assert counted.count((9, identity.tobytes())) == 1
+        images = finite.descend_automorphism(aut, group).images
+        identity = finite.identity_automorphism(group).images
+        assert counted.count((9, images)) == 1
+        assert counted.count((9, identity)) == 1
 
         counted.clear()
         argv = ["oracle", "9", "2", "1", "--aut", "f.json", "--check", "restriction"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "CHECK restriction-bound " in out
-        assert counted == [(9, table.tobytes())]  # no ordinary classes without tbft
+        assert counted == [(9, images)]  # no ordinary classes without tbft
 
     def test_conjugacy_counted_once_per_catalog_run(self, capsys, monkeypatch):
         counted = self.spy_counts(monkeypatch)
         code, out, _ = run(capsys, "oracle", "9", "2", "1", "--check", "tbft")
         assert code == 0 and out.count("CHECK tbft ") > 2
-        identity = np.arange(finite.FiniteWreathGroup(9, 2, 1).order, dtype=np.int64)
-        assert counted.count((9, identity.tobytes())) == 1
+        identity = finite.identity_automorphism(finite.FiniteWreathGroup(9, 2, 1)).images
+        assert counted.count((9, identity)) == 1
         assert len(counted) == len(set(counted)) == out.count("CHECK tbft ")
 
     def test_projection_model_built_once(self, capsys, monkeypatch):

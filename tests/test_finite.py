@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -12,6 +13,7 @@ from lamptwist.reidemeister import finite_reidemeister_automorphism
 from lamptwist.finite import (
     BudgetExceeded,
     DescentError,
+    DescendedAutomorphism,
     FiniteAutomorphism,
     FiniteWreathGroup,
     OracleCheck,
@@ -41,6 +43,7 @@ from reference import (
     twist,
     twisted_by,
     twisted_classes_unionfind,
+    whole_table_descent,
     zero_cocycle_catalog,
 )
 
@@ -205,6 +208,13 @@ class TestGroupModel:
                     assert left[x] == multiply(g, a, x)
                     assert right[x] == multiply(g, x, b)
                     assert both[x] == multiply(g, multiply(g, a, x), b)
+
+    @pytest.mark.parametrize("model", [(5, 2, 1), (3, 2, 2), (2, 3, 2), (3, 1, 2)])
+    def test_products_match_reference(self, model):
+        rng = random.Random(59)
+        g = FiniteWreathGroup(*model)
+        a, b = ([rng.randrange(g.order) for _ in range(80)] for _ in range(2))
+        assert g.products(a, b).tolist() == [multiply(g, x, y) for x, y in zip(a, b)]
 
     def test_no_table_cap(self):
         g = FiniteWreathGroup(7, 2, 2)  # order 9604: class counts need no multiplication table
@@ -393,6 +403,178 @@ class TestDescend:
             descend_automorphism(aut, FiniteWreathGroup(n, 2, 2))
 
 
+# every model of the exactness test: the oracle's CLI and CI models and the battery's
+FORMULA_MODELS = (
+    (3, 2, 1), (3, 2, 2), (5, 2, 1), (9, 2, 1), (25, 2, 1),
+    (5, 4, 1), (7, 3, 1), (3, 1, 2), (2, 3, 2),
+)
+
+
+def seeded_sources(rng, n, m, k, count):
+    """Inner twists of catalog entries by seeded elements: nonzero cocycles, all descending."""
+    catalog = zero_cocycle_automorphisms(n, k, m)
+    out = []
+    for _ in range(count):
+        sigma = Torsion(n, k, [([rng.randrange(-3, 4) for _ in range(k)], 1) for _ in range(3)])
+        gamma = GroupElement(sigma, [rng.randrange(-3, 4) for _ in range(k)])
+        out.append(twist(rng.choice(catalog), gamma))
+    return out
+
+
+def refusal(build):
+    """The message of the InvalidAutomorphism that `build()` raises, or None."""
+    try:
+        build()
+    except InvalidAutomorphism as exc:
+        return str(exc)
+    return None
+
+
+def guard_and_table_refusals(monkeypatch, group, u_rows, corr, shift):
+    """How the formula's guard and the whole-table check each judge one formula.
+
+    The table is the one `at` evaluates, built with the guard switched off.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(DescendedAutomorphism, "_guard", lambda self: None)
+        table = DescendedAutomorphism(group, u_rows, corr, shift, "bent").table
+    guard = refusal(lambda: DescendedAutomorphism(group, u_rows, corr, shift, "bent"))
+    return guard, refusal(lambda: FiniteAutomorphism(group, table, provenance="bent"))
+
+
+class TestFormulaDescent:
+    @pytest.mark.parametrize("model", FORMULA_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_at_matches_whole_table_descent(self, model):
+        n, m, k = model
+        g = FiniteWreathGroup(*model)
+        rng = random.Random(n * m + k)
+        sources = zero_cocycle_automorphisms(n, k, m) + seeded_sources(rng, *model, 4)
+        assert any(not c.is_zero() for aut in sources for c in aut.cocycle)
+        inverse_gens = g.ensure_tables()["inverse_gens"]
+        for aut in sources:
+            fin = descend_automorphism(aut, g)
+            whole = fin.at(np.arange(g.order))
+            assert np.array_equal(whole, whole_table_descent(aut, g))
+            checked = FiniteAutomorphism(g, whole)  # passes the whole-table check
+            assert np.array_equal(fin.table, checked.table) and fin == checked
+            assert fin.images == tuple(whole[inverse_gens].tolist())
+
+    def test_guard_refuses_exactly_as_the_table_check(self, monkeypatch):
+        # one-entry corruptions of U or corr: refused with the table check's
+        # message, and accepted exactly when the table check accepts
+        rng = random.Random(4729)
+        outcomes = []
+        for model in ((3, 2, 1), (5, 2, 1), (9, 2, 1), (3, 2, 2), (2, 2, 2), (3, 1, 2), (7, 3, 1)):
+            n, m, k = model
+            g = FiniteWreathGroup(*model)
+            sources = zero_cocycle_automorphisms(n, k, m) + seeded_sources(rng, *model, 4)
+            for _ in range(40):
+                fin = descend_automorphism(rng.choice(sources), g)
+                u_rows, corr = fin.u_rows.copy(), fin.corr.copy()
+                bent = rng.choice([u_rows, corr])
+                p, j = rng.randrange(g.point_count), rng.randrange(g.point_count)
+                bent[p, j] = (bent[p, j] + rng.randrange(1, n)) % n
+                guard, table = guard_and_table_refusals(monkeypatch, g, u_rows, corr, fin.shift)
+                assert guard == table
+                outcomes.append(table and table.split(" at ")[0])
+        assert len(outcomes) >= 200
+        assert set(outcomes) == {None, "bent is not a bijection", "bent is not multiplicative"}
+
+    def test_guard_refuses_a_non_permuting_shift_map(self, monkeypatch):
+        g = FiniteWreathGroup(3, 2, 1)
+        fin = descend_automorphism(WreathAutomorphism.identity(GroupParams(3, 1)), g)
+        shift = np.zeros(2, dtype=np.int64)
+        refusals = guard_and_table_refusals(monkeypatch, g, fin.u_rows, fin.corr, shift)
+        assert refusals == ("bent is not a bijection",) * 2
+
+    def test_guard_refuses_u_singular_mod_p(self, monkeypatch):
+        # 3 U keeps every identity, so the map is an endomorphism, but det U is
+        # divisible by 3, a prime factor of 9
+        g = FiniteWreathGroup(9, 2, 1)
+        fin = descend_automorphism(zero_cocycle_automorphisms(9, 1, 2)[-1], g)
+        u_rows = 3 * fin.u_rows % 9
+        refusals = guard_and_table_refusals(monkeypatch, g, u_rows, fin.corr, fin.shift)
+        assert refusals == ("bent is not a bijection",) * 2
+
+    def test_guard_refuses_a_failed_equivariance(self, monkeypatch):
+        # U = [[1, 0], [1, 1]] is invertible, but U e_1 is not the translate of U e_0
+        g = FiniteWreathGroup(3, 2, 1)
+        fin = descend_automorphism(WreathAutomorphism.identity(GroupParams(3, 1)), g)
+        u_rows = np.array([[1, 0], [1, 1]], dtype=np.int64)
+        refusals = guard_and_table_refusals(monkeypatch, g, u_rows, fin.corr, fin.shift)
+        assert refusals == (f"bent is not multiplicative at generator {g.generators()[0]}",) * 2
+
+    def test_guard_refuses_a_failed_crossed_homomorphism(self, monkeypatch):
+        # corr[1] = e_0 fails corr[1 + 1] = corr[1] + 1 . corr[1] at the wrap-around
+        g = FiniteWreathGroup(3, 2, 1)
+        fin = descend_automorphism(WreathAutomorphism.identity(GroupParams(3, 1)), g)
+        corr = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        refusals = guard_and_table_refusals(monkeypatch, g, fin.u_rows, corr, fin.shift)
+        assert refusals == (f"bent is not multiplicative at generator {g.generators()[1]}",) * 2
+        # a coboundary, corr[1] = e_0 - e_1, passes both
+        corr[1] = [1, 2]
+        assert guard_and_table_refusals(monkeypatch, g, fin.u_rows, corr, fin.shift) == (None, None)
+
+    def test_guard_refuses_a_non_additive_shift_map(self, monkeypatch):
+        # S swaps the points 2 and 3 of Z/4 and U permutes the slots alike, so
+        # the map is multiplicative at the lamp generator but not at the shift
+        g = FiniteWreathGroup(3, 4, 1)
+        shift = np.array([0, 1, 3, 2], dtype=np.int64)
+        u_rows = np.eye(4, dtype=np.int64)[shift]
+        corr = np.zeros((4, 4), dtype=np.int64)
+        refusals = guard_and_table_refusals(monkeypatch, g, u_rows, corr, shift)
+        assert refusals == (f"bent is not multiplicative at generator {g.generators()[1]}",) * 2
+
+
+def spy_whole_tables(monkeypatch):
+    """Record the provenance of every descent whose whole table is built."""
+    built = []
+    build = DescendedAutomorphism.table.func
+
+    def spy(self):
+        built.append(self.provenance)
+        return build(self)
+
+    monkeypatch.setattr(DescendedAutomorphism, "table", property(spy))
+    return built
+
+
+class TestDescentWork:
+    def test_descent_allocates_under_a_megabyte(self):
+        # M = [[-1]], u = 2 D[3] on the order-590490 model, whose int32 table
+        # alone would take 2.4 MB
+        g = FiniteWreathGroup(3, 10, 1)
+        assert g.order == 590490
+        aut = WreathAutomorphism(GroupParams(3, 1), ((-1,),), Torsion.delta(3, 1, (3,), 2))
+        g.ensure_tables()
+        tracemalloc.start()
+        try:
+            fin = descend_automorphism(aut, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert "table" not in vars(fin)
+
+    def test_only_projection_builds_whole_tables(self, monkeypatch):
+        built = spy_whole_tables(monkeypatch)
+        aut = WreathAutomorphism(GroupParams(3, 1), ((-1,),), Torsion.delta(3, 1, (3,), 2))
+        runs = [
+            (FiniteWreathGroup(3, 10, 1), [aut], ["tbft"]),
+            (FiniteWreathGroup(3, 10, 1), [aut], ["tbft", "restriction"]),
+            (FiniteWreathGroup(5, 4, 1), zero_cocycle_automorphisms(5, 1, 4), ["tbft"]),
+            (FiniteWreathGroup(3, 2, 2), zero_cocycle_automorphisms(3, 2, 2), ["tbft", "shift"]),
+        ]
+        for group, sources, checks in runs:
+            results = list(finite.run_checks(group, sources, checks))
+            assert results and all(r.passed for r in results)
+        assert built == []
+        aut = WreathAutomorphism(GroupParams(9, 1), ((-1,),), Torsion.delta(9, 1, (1,), 2))
+        results = list(finite.run_checks(FiniteWreathGroup(9, 2, 1), [aut], ["projection"], 3))
+        assert all(r.passed for r in results)
+        assert built  # the spy sees the projection's tables
+
+
 class TestTwistedClasses:
     def test_conjugacy_frozen(self):
         # Z_3 wr Z/2: torsion pairs split into 6 classes, the 9 swap-side
@@ -509,7 +691,7 @@ class TestOrbitMinima:
         assert g.order == 4374
         auts = [descend_automorphism(a, g) for a in zero_cocycle_automorphisms(3, 1, 6)[1::11]]
         calls = spy_orbit_minima(monkeypatch)
-        finite._partitions(g, np.stack([identity_automorphism(g).table] + [f.table for f in auts]))
+        finite._partitions(g, [identity_automorphism(g).images] + [f.images for f in auts])
         ((edges, order, minima),) = calls
         assert edges.shape == (len(g.generators()), order) and order == 4 * g.order
         assert_orbit_minima(edges, order, minima)
@@ -541,13 +723,13 @@ def chunk_bounds(group, rows):
 
 
 def spy_partitions(monkeypatch):
-    """Record each call of `finite._partitions` as its list of (table bytes, partition)."""
+    """Record each call of `finite._partitions` as its list of (generator images, partition)."""
     calls = []
     real = finite._partitions
 
-    def spy(group, tables):
-        parts = real(group, tables)
-        calls.append([(table.tobytes(), part) for table, part in zip(tables, parts)])
+    def spy(group, images):
+        parts = real(group, images)
+        calls.append([(tuple(row), part) for row, part in zip(images, parts)])
         return parts
 
     monkeypatch.setattr(finite, "_partitions", spy)
@@ -559,7 +741,7 @@ class TestBatchedPartitions:
     def test_rows_match_single_counts_and_reference(self, model):
         g = FiniteWreathGroup(*model)
         auts = batch_automorphisms(g)
-        batch = finite._partitions(g, np.stack([f.table for f in auts]))
+        batch = finite._partitions(g, [f.images for f in auts])
         assert len(batch) == len(auts)
         cayley, inverses = reference_cayley(g)
         for f, part in zip(auts, batch):
@@ -587,31 +769,35 @@ class TestBatchedPartitions:
         rows = [row for call in calls for row in call]
         expected_rows = [row for call in expected_calls for row in call]
         assert len(rows) == len(expected_rows) == twisted
-        for (table, part), (expected_table, expected_part) in zip(rows, expected_rows):
-            assert table == expected_table and same_partition(part, expected_part)
+        for (images, part), (expected_images, expected_part) in zip(rows, expected_rows):
+            assert images == expected_images and same_partition(part, expected_part)
 
     @pytest.mark.parametrize(
         "model", [(3, 2, 1), (2, 2, 2), (5, 2, 1), (3, 1, 1)], ids="{0[0]}-{0[1]}-{0[2]}".format
     )
     def test_central_cosets_group_equal_twists(self, monkeypatch, model):
         # h and h' twist alike exactly when they share a coset of the center,
-        # and the shift check counts one twist per distinct table but f's own
+        # and the shift check counts one twist per distinct table but f's own,
+        # each as the images of the generator inverses under its whole table
         g = FiniteWreathGroup(*model)
         f = zero_cocycle_catalog(g)[-1]
         elements = list(range(g.order))
         coset = finite._central_cosets(g, elements)
-        by_table, by_coset = {}, {}
+        inverse_gens = g.ensure_tables()["inverse_gens"]
+        by_table, by_coset, images = {}, {}, {}
         for h in elements:
-            table = twisted_by(f, h).table.astype(np.int64).tobytes()  # as the spy records it
+            table = twisted_by(f, h).table
             assert twisted_by(f, coset[h]) == twisted_by(f, h)
-            by_table.setdefault(table, set()).add(h)
+            by_table.setdefault(table.tobytes(), set()).add(h)
             by_coset.setdefault(coset[h], set()).add(h)
+            images[table.tobytes()] = tuple(table[inverse_gens].tolist())
         assert sorted(map(sorted, by_table.values())) == sorted(map(sorted, by_coset.values()))
         base = twisted_classes(g, f)
         calls = spy_partitions(monkeypatch)
         verify_shift_invariance(g, f, elements, base)
-        counted = sorted(table for call in calls for table, _ in call)
-        assert counted == sorted(set(by_table) - {f.table.astype(np.int64).tobytes()})
+        counted = sorted(row for call in calls for row, _ in call)
+        assert counted == sorted(set(images.values()) - {f.images})
+        assert len(counted) == len(by_table) - 1
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
     def test_chunk_bound_does_not_change_shift_output(self, capsys, monkeypatch, bound):
