@@ -212,6 +212,8 @@ def certificate_from_dict(data: dict) -> SurjectivityCertificate:
         witnesses = {}
         for entry in data.get("witnesses", []):
             pt = tuple(json_int(x, "witness point coordinate") for x in entry["point"])
+            if len(pt) != k:
+                raise SchemaError(f"witness point {pt} has length {len(pt)}, expected rank {k}")
             if pt in witnesses:
                 raise SchemaError(f"repeated witness point {pt}")
             witnesses[pt] = _torsion_from_list(entry["preimage"], n, k)

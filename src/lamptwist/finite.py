@@ -12,13 +12,14 @@ inverses, elementwise products and reductions mod a divisor are built from
 them; a translation costs O(|G|) work, and no multiplication table is ever
 formed.
 
-A descended automorphism is kept as its formula f(c, z) = (U c + corr[z], M z),
-which `at` evaluates only where a check reads it: at the generator inverses
-once (a class count reads nothing else), at the class representatives for
-tbft and at the torsion elements for restriction.  Only the projection check
-builds a whole table.  The formula's guard is exact and costs O(k·m^2k)
-work: z -> M z permutes the box, det U is a unit mod n, and the formula is
-multiplicative at every generator, which is an identity over the box points.
+An automorphism of the model is its formula f(c, z) = (U c + corr[z], M z),
+the only form a descent takes, and no table of its values is kept.  `at`
+evaluates it only where a check reads it: at the generator inverses once (a
+class count reads nothing else), at the class representatives for tbft, at
+the torsion elements for restriction, and on all of G for the projection
+diagram.  The formula's guard is exact and costs O(k·m^2k) work: z -> M z
+permutes the box, det U is a unit mod n, and the formula is multiplicative
+at every generator, which is an identity over the box points.
 
 Twisted-conjugacy classes are the orbits of the action h: x -> h x f(h^-1).
 That is a genuine group action, so its orbits are already the connected
@@ -40,7 +41,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -168,12 +168,12 @@ class FiniteWreathGroup:
         out = high.sum(axis=2)[:, :, None] + rest.sum(axis=2)[:, None, :]
         return out.reshape(len(target), -1)
 
-    def _elements(self, torsion_maps: np.ndarray, shift_maps) -> np.ndarray:
-        """Row j is the array x -> (torsion_maps[j, z_x](t_x), shift_maps[j, z_x]).
+    def _elements(self, torsion_maps: np.ndarray, shift_rows) -> np.ndarray:
+        """Row j is the array x -> (torsion_maps[j, z_x](t_x), shift_rows[j, z_x]).
 
         `torsion_maps` has one row per shift, or a single row for all shifts.
         """
-        out = torsion_maps * self.point_count + np.asarray(shift_maps)[:, :, None]
+        out = torsion_maps * self.point_count + np.asarray(shift_rows)[:, :, None]
         return out.swapaxes(1, 2).reshape(len(out), -1)
 
     def translations(self, pairs) -> np.ndarray:
@@ -192,101 +192,35 @@ class FiniteWreathGroup:
 
 
 class FiniteAutomorphism:
-    """Automorphism of a finite model, stored as a permutation table.
-
-    Construction verifies, exactly, that the table is a bijection and a
-    homomorphism (see `_verify`).  The checks read an automorphism through
-    `at`, which evaluates it on an index array, and `images`, its values at
-    the generator inverses s^-1; only the projection check reads the whole
-    `table`.  Two automorphisms of one model are equal when their images
-    are: a homomorphism is fixed by its values on generators.
-    """
-
-    def __init__(
-        self, group: FiniteWreathGroup, table, provenance: str = "anonymous", check: bool = True
-    ):
-        self.group = group
-        self.table = np.asarray(table, dtype=np.int32)
-        self.provenance = provenance
-        if self.table.shape != (group.order,):
-            raise ValueError("automorphism table has the wrong length")
-        if check:
-            self._verify()
-        self.images = self._images()
-
-    def _verify(self):
-        """Check bijectivity, then T(x s) == T(x) T(s) for every x and generator s.
-
-        The second check is exact.  Taking x = e gives T(s) = T(e) T(s), so
-        T(e) = e.  G is finite, so every y in G is a product s_1 ... s_r of
-        generators (no inverses needed), and induction on r gives
-        T(x s_1 ... s_r) = T(x) T(s_1) ... T(s_r); at x = e this reads
-        T(y) = T(s_1) ... T(s_r), hence T(x y) = T(x) T(y) for all x and y.
-        """
-        group, table, name = self.group, self.table, self.provenance
-        order = group.order
-        in_range = table.min() >= 0 and table.max() < order  # bincount needs it
-        if not in_range or np.any(np.bincount(table, minlength=order) != 1):
-            raise InvalidAutomorphism(f"{name} is not a bijection")
-        gens = group.generators()
-        # rows x -> x s, then x -> x T(s), for every generator s
-        maps = group.translations([(group.identity, s) for s in [*gens, *table[gens]]])
-        lhs, rhs = table[maps[: len(gens)]], maps[len(gens) :, table]
-        if not np.array_equal(lhs, rhs):
-            s = next(s for s, left, right in zip(gens, lhs, rhs) if not np.array_equal(left, right))
-            raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
-
-    def _images(self) -> tuple[int, ...]:
-        return tuple(self.at(self.group.ensure_tables()["inverse_gens"]).tolist())
-
-    def at(self, indices) -> np.ndarray:
-        """The image of every element of an index array, as int64."""
-        return self.table[indices].astype(np.int64)
-
-    def __call__(self, index: int) -> int:
-        return int(self.at(index))
-
-    def shift_map(self) -> np.ndarray:
-        """Induced permutation of the shift quotient (Z/mZ)^k."""
-        pcount = self.group.point_count
-        return self.at(np.arange(pcount)) % pcount
-
-    def _key(self):
-        group = self.group
-        return group.modulus, group.box, group.rank, self.images
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteAutomorphism) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class DescendedAutomorphism(FiniteAutomorphism):
-    """The map (c, z) -> (U c + corr[z], S z) of a finite model, kept as its formula.
+    """The automorphism (c, z) -> (U c + corr[z], S z) of a finite model, kept as its formula.
 
     Row p of `u_rows` is U applied to the lamp at slot p, row z of `corr` is
-    a digit vector, and `shift[z]` is the point index of S z.  `at` costs
-    O(m^2k) work per element, and the whole table is built only when it is
-    read.  Construction checks, exactly, that the formula is an automorphism
-    (see `_guard`).
+    a digit vector, and `shift[z]` is the point index of S z.  Construction
+    checks, exactly, that the formula is an automorphism (see `_guard`).
+    The checks read it through `at`, which evaluates it on an index array
+    in O(m^2k) work per element, and `images`, its values at the generator
+    inverses s^-1.  Two automorphisms of one model are equal when their
+    images are: a homomorphism is fixed by its values on generators.
     """
 
     def __init__(self, group: FiniteWreathGroup, u_rows, corr, shift, provenance: str):
         self.group, self.provenance = group, provenance
         self.u_rows, self.corr, self.shift = u_rows, corr, shift
         self._guard()
-        self.images = self._images()
+        self.images = tuple(self.at(group.ensure_tables()["inverse_gens"]).tolist())
 
     def _guard(self):
-        """`_verify`'s test on the formula, with its messages, in O(k·m^2k) work.
+        """Refuse a formula that is not a bijection and a homomorphism, in O(k·m^2k) work.
 
         f is a bijection exactly when S permutes the box and U is
-        invertible, that is det U is a unit mod n.  f(x s) = f(x) f(s) for
-        every x = (c, z) reduces, c cancelling, to an identity over the box
-        points z: at the lamp generator a = (e_0, 0), S 0 = 0 and
-        U e_z = S(z) . (U e_0 + corr[0]); at the shift generator (0, e_i),
-        S(z + e_i) = S z + S e_i and corr[z + e_i] = corr[z] + S(z) . corr[e_i].
+        invertible, that is det U is a unit mod n.  f is a homomorphism
+        exactly when f(x s) = f(x) f(s) for every x and generator s: taking
+        x = e gives f(e) = e, every element is a product of generators, and
+        induction on its length gives f(x y) = f(x) f(y).  For x = (c, z)
+        this reduces, c cancelling, to an identity over the box points z: at
+        the lamp generator a = (e_0, 0), S 0 = 0 and U e_z = S(z) . (U e_0 +
+        corr[0]); at the shift generator (0, e_i), S(z + e_i) = S z + S e_i
+        and corr[z + e_i] = corr[z] + S(z) . corr[e_i].
         """
         group, name = self.group, self.provenance
         n, pcount = group.modulus, group.point_count
@@ -305,21 +239,22 @@ class DescendedAutomorphism(FiniteAutomorphism):
             if not additive or np.any(corr[perms[e]] != (corr + corr[e][moved]) % n):
                 raise InvalidAutomorphism(f"{name} is not multiplicative at generator {e}")
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        return self.at(np.arange(self.group.order)).astype(np.int32)
-
     def at(self, indices) -> np.ndarray:
+        """The image of every element of an index array, as int64."""
         tables = self.group.ensure_tables()
         t, s = np.divmod(np.asarray(indices, dtype=np.int64), self.group.point_count)
         lamps = (tables["digits"][t] @ self.u_rows + self.corr[s]) % self.group.modulus
         return (lamps @ tables["wt"]) * self.group.point_count + self.shift[s]
 
+    def _key(self):
+        group = self.group
+        return group.modulus, group.box, group.rank, self.images
 
-def identity_automorphism(group: FiniteWreathGroup) -> FiniteAutomorphism:
-    return FiniteAutomorphism(
-        group, np.arange(group.order, dtype=np.int32), provenance="identity", check=False
-    )
+    def __eq__(self, other):
+        return isinstance(other, FiniteAutomorphism) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> FiniteAutomorphism:
@@ -349,9 +284,9 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
 
     # the point index of M p for every box point p
     reduced = np.array([[x % m for x in row] for row in aut.matrix], dtype=np.int64)
-    shift_map = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
+    shift = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
     # row p of v[moved] is v translated by M p: (z . v)[j] = v[j - z]
-    moved = tables["perms"][tables["sneg"][shift_map]]
+    moved = tables["perms"][tables["sneg"][shift]]
     steps = [reduce_vec(c)[moved] for c in aut.cocycle]  # steps[i][p] = shift(M p) c_i
 
     for i, step in enumerate(steps):
@@ -368,7 +303,7 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
         corr[q] = (corr[q - strides[i]] + steps[i][q - strides[i]]) % n
 
     u_rows = reduce_vec(aut.origin_image)[moved]
-    return DescendedAutomorphism(group, u_rows, corr, shift_map, f"descended({aut.label()})")
+    return FiniteAutomorphism(group, u_rows, corr, shift, f"descended({aut.label()})")
 
 
 # -- twisted classes -----------------------------------------------------------
@@ -615,7 +550,7 @@ def verify_projection(
     """
     pi = projection_index_map(big, small)
     params = _model_params(big, d=small.modulus, aut=aut_big.provenance)
-    diagram_bad = int(np.count_nonzero(aut_small.table[pi] != pi[aut_big.table]))
+    diagram_bad = int(np.count_nonzero(aut_small.at(pi) != pi[aut_big.at(np.arange(big.order))]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
     part_small = twisted_classes(small, aut_small)
     mapped = part_small.labels[pi]
@@ -661,7 +596,7 @@ def verify_restriction_bound(
     digits, wt = tables["digits"], tables["wt"]
     chi = ((digits - digits[images // pcount]) % group.modulus) @ wt
     restricted = group.torsion_count // _distinct(chi)
-    fixed = int(np.count_nonzero(aut.shift_map() == np.arange(pcount)))
+    fixed = int(np.count_nonzero(aut.shift == np.arange(pcount)))
     bound = base.count * fixed
     checks.append(
         OracleCheck("restriction-bound", params, restricted <= bound, restricted, bound)

@@ -18,26 +18,30 @@ no code with the numpy tables they check; `element_to_group` and
 `group_to_index` bridge it to Z_n wr Z^k.  The remaining helpers build test
 inputs and the maps they are compared with: `mat_pow` and `random_unimodular`
 for lattice maps, `project_element` for reduction mod a divisor, `compose`,
-`inner` and `twist` for automorphisms of Z_n wr Z^k, and `twisted_by`,
-`zero_cocycle_catalog` and `inner_twists` for automorphisms of a finite model.
-`whole_table_descent` is the descent that built every automorphism's whole
-table from the model's digit tables before descents were evaluated by their
-formula; the tests compare the formula with it.
+`inner` and `twist` for automorphisms of Z_n wr Z^k, and `identity_descent`,
+`twisted_by`, `zero_cocycle_catalog` and `inner_twists` for automorphisms of a
+finite model.  `TableAutomorphism` is an automorphism of a model given by its
+whole image table and checked over the whole group, and `whole_table_descent`
+is the descent that built such a table from the model's digit tables; the
+tests compare the formula and its guard with them.  `rule_reidemeister` is
+the mod-p rule for R(phi), written from `Torsion` items and `mat_pow` alone;
+a census test judges the program's definite verdicts by it.
 """
 
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import numpy as np
 
-from lamptwist.automorphism import WreathAutomorphism, is_group_ring_unit
+from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism, is_group_ring_unit
 from lamptwist.finite import (
     DescentError,
     FiniteAutomorphism,
     TwistedClassPartition,
+    descend_automorphism,
     distinct_descents,
     zero_cocycle_automorphisms,
 )
-from lamptwist.group import GroupElement, IncompatibleParams, Torsion
+from lamptwist.group import GroupElement, GroupParams, IncompatibleParams, Torsion
 from lamptwist.matrix import as_matrix, det, identity, mat_mul, mat_sub, mat_vec, transpose
 from lamptwist.modular import crt, factorize
 
@@ -383,7 +387,7 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
         size[ra] += size[rb]
 
     for h in range(order):
-        fh = aut(inverse(group, h))
+        fh = int(aut.at(inverse(group, h)))
         for g in range(order):
             union(g, multiply(group, multiply(group, h, g), fh))
 
@@ -431,6 +435,30 @@ def mat_pow(m, e: int):
         base = mat_mul(base, base)
         e >>= 1
     return out
+
+
+def rule_reidemeister(aut: WreathAutomorphism) -> int | float:
+    """R(phi) by the mod-p rule: |det(I - M)| or math.inf, for rank at most 3.
+
+    R is infinite when det(I - M) = 0, when M has infinite order, or when
+    c_p^N = 1 (mod p) for some prime p | n, where N is the order of M and
+    u = c_p D[q_p] (mod p); otherwise R = |det(I - M)|.  |det(I - M)| is
+    the fixed-character count, and N is found by the plain power loop up to
+    12, which misses no finite order at rank 3 or less: those orders are 1,
+    2, 3, 4 and 6.
+    """
+    k, n = aut.params.rank, aut.params.modulus
+    if k > 3:
+        raise ValueError("the power loop finds every finite order only up to rank 3")
+    quotient = fixed_character_count(aut.matrix)
+    order = next((e for e in range(1, 13) if mat_pow(aut.matrix, e) == identity(k)), None)
+    if quotient == 0 or order is None:
+        return inf
+    for p in (p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))):
+        (c,) = [c % p for _, c in aut.origin_image.items() if c % p]  # u is a unit: one point mod p
+        if pow(c, order, p) == 1:
+            return inf
+    return quotient
 
 
 def random_unimodular(rng, k: int, steps: int = 12, coeff_bound: int = 3):
@@ -492,12 +520,65 @@ def twist(aut: WreathAutomorphism, gamma: GroupElement) -> WreathAutomorphism:
     return compose(inner(gamma), aut)
 
 
-def twisted_by(f: FiniteAutomorphism, g: int) -> FiniteAutomorphism:
+class TableAutomorphism(FiniteAutomorphism):
+    """An automorphism of a finite model given by its whole image table.
+
+    The form every automorphism of a model had before descents were kept as
+    formulas.  Construction checks the whole table (see `_verify`) unless
+    `check` is false; `at` reads the table, and `images`, equality and
+    hashing mean what they mean for a formula.
+    """
+
+    def __init__(self, group, table, provenance: str = "anonymous", check: bool = True):
+        self.group, self.provenance = group, provenance
+        self.table = np.asarray(table, dtype=np.int32)
+        if self.table.shape != (group.order,):
+            raise ValueError("automorphism table has the wrong length")
+        if check:
+            self._verify()
+        self.images = tuple(self.at(group.ensure_tables()["inverse_gens"]).tolist())
+
+    def _verify(self):
+        """Check bijectivity, then T(x s) == T(x) T(s) for every x and generator s.
+
+        The second check is exact.  Taking x = e gives T(s) = T(e) T(s), so
+        T(e) = e.  G is finite, so every y in G is a product s_1 ... s_r of
+        generators (no inverses needed), and induction on r gives
+        T(x s_1 ... s_r) = T(x) T(s_1) ... T(s_r); at x = e this reads
+        T(y) = T(s_1) ... T(s_r), hence T(x y) = T(x) T(y) for all x and y.
+        """
+        group, table, name = self.group, self.table, self.provenance
+        order = group.order
+        in_range = table.min() >= 0 and table.max() < order  # bincount needs it
+        if not in_range or np.any(np.bincount(table, minlength=order) != 1):
+            raise InvalidAutomorphism(f"{name} is not a bijection")
+        gens = group.generators()
+        # rows x -> x s, then x -> x T(s), for every generator s
+        maps = group.translations([(group.identity, s) for s in [*gens, *table[gens]]])
+        lhs, rhs = table[maps[: len(gens)]], maps[len(gens) :, table]
+        if not np.array_equal(lhs, rhs):
+            s = next(s for s, left, right in zip(gens, lhs, rhs) if not np.array_equal(left, right))
+            raise InvalidAutomorphism(f"{name} is not multiplicative at generator {s}")
+
+    def at(self, indices) -> np.ndarray:
+        return self.table[indices].astype(np.int64)
+
+
+def identity_descent(group) -> FiniteAutomorphism:
+    """The identity of a finite model: the descent of the identity of Z_n wr Z^k."""
+    params = GroupParams(group.modulus, group.rank)
+    return descend_automorphism(WreathAutomorphism.identity(params), group)
+
+
+def twisted_by(f: FiniteAutomorphism, g: int) -> TableAutomorphism:
     """Inner twist of a finite model's automorphism: conjugation by g composed after f."""
     group = f.group
     conjugation = group.translations([(g, group.inverses([g])[0])])[0]
-    return FiniteAutomorphism(
-        group, conjugation[f.table], provenance=f"tw[{g}]*{f.provenance}", check=False
+    return TableAutomorphism(
+        group,
+        conjugation[f.at(np.arange(group.order))],
+        provenance=f"tw[{g}]*{f.provenance}",
+        check=False,
     )
 
 
@@ -507,8 +588,8 @@ def zero_cocycle_catalog(group) -> list[FiniteAutomorphism]:
     return [fin for _, fin in distinct_descents(auts, group)]
 
 
-def inner_twists(group, aut: FiniteAutomorphism) -> list[FiniteAutomorphism]:
-    """All inner twists of aut, deduplicated by their tables (g = identity first)."""
+def inner_twists(group, aut: FiniteAutomorphism) -> list[TableAutomorphism]:
+    """All inner twists of aut, deduplicated by their generator images (g = identity first)."""
     return list(dict.fromkeys(twisted_by(aut, g) for g in range(group.order)))
 
 

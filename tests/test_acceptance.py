@@ -21,7 +21,6 @@ from lamptwist.reidemeister import (
 from lamptwist.finite import (
     FiniteWreathGroup,
     descend_automorphism,
-    identity_automorphism,
     twisted_classes,
     verify_projection,
     verify_tbft_finite,
@@ -31,6 +30,7 @@ from lamptwist.matrix import identity, mat_vec
 from lamptwist.modular import factorize, modinv
 from reference import (
     fixed_character_count,
+    identity_descent,
     inner_twists,
     inverse_in_box,
     mat_pow,
@@ -148,7 +148,7 @@ def test_criterion_6_finite_tbft():
             group = FiniteWreathGroup(n, m, k, budget=10**7)
             if group.order > 2000:
                 continue
-            ordinary = twisted_classes(group, identity_automorphism(group))
+            ordinary = twisted_classes(group, identity_descent(group))
             for f in zero_cocycle_catalog(group):
                 for tw in inner_twists(group, f):
                     chk = verify_tbft_finite(group, tw, twisted_classes(group, tw), ordinary)

@@ -26,6 +26,7 @@ from lamptwist.reidemeister import (
 )
 from lamptwist.finite import OracleCheck
 from lamptwist.matrix import MAX_RANK
+from reference import identity_descent
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -492,6 +493,15 @@ class TestRepeatedEntries:
         cert["witnesses"].insert(0, false)
         fileformat.save(tmp_path / "c.json", cert)
         assert run_hostile(capsys, "verify", "c.json") == "error: repeated witness point (-1, 0)"
+
+    @pytest.mark.parametrize("point", [[0], [0, 0, 0]], ids=["short", "long"])
+    def test_witness_point_of_the_wrong_length(self, capsys, tmp_path, cert, point):
+        # refused at load, where replay would have met it in `Torsion.delta`
+        cert["witnesses"].append({"point": point, "preimage": []})
+        fileformat.save(tmp_path / "c.json", cert)
+        assert run_hostile(capsys, "verify", "c.json") == (
+            f"error: witness point {tuple(point)} has length {len(point)}, expected rank 2"
+        )
 
     def test_repeated_witnesses_key(self, capsys, tmp_path, cert):
         # the false array comes first, where a parser keeping the first value would read it
@@ -1100,7 +1110,7 @@ class TestOracle:
             assert f"CHECK {name} " in out
         group = finite.FiniteWreathGroup(9, 2, 1)
         images = finite.descend_automorphism(aut, group).images
-        identity = finite.identity_automorphism(group).images
+        identity = identity_descent(group).images
         assert counted.count((9, images)) == 1
         assert counted.count((9, identity)) == 1
 
@@ -1114,7 +1124,7 @@ class TestOracle:
         counted = self.spy_counts(monkeypatch)
         code, out, _ = run(capsys, "oracle", "9", "2", "1", "--check", "tbft")
         assert code == 0 and out.count("CHECK tbft ") > 2
-        identity = finite.identity_automorphism(finite.FiniteWreathGroup(9, 2, 1)).images
+        identity = identity_descent(finite.FiniteWreathGroup(9, 2, 1)).images
         assert counted.count((9, identity)) == 1
         assert len(counted) == len(set(counted)) == out.count("CHECK tbft ")
 

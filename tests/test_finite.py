@@ -13,14 +13,12 @@ from lamptwist.reidemeister import finite_reidemeister_automorphism
 from lamptwist.finite import (
     BudgetExceeded,
     DescentError,
-    DescendedAutomorphism,
     FiniteAutomorphism,
     FiniteWreathGroup,
     OracleCheck,
     TwistedClassPartition,
     descend_automorphism,
     fixed_conjugacy_classes,
-    identity_automorphism,
     projection_index_map,
     twisted_classes,
     verify_projection,
@@ -31,15 +29,18 @@ from lamptwist.finite import (
 )
 from lamptwist.matrix import identity as identity_matrix, mat_vec
 from reference import (
+    TableAutomorphism,
     decode,
     element_to_group,
     encode,
     group_to_index,
+    identity_descent,
     inner_twists,
     inverse,
     multiply,
     orbit_minima_unionfind,
     point_index,
+    project_element,
     twist,
     twisted_by,
     twisted_classes_unionfind,
@@ -84,7 +85,7 @@ def reference_cayley(group):
 
 def all_h_classes(cayley, inverses, aut):
     """Twisted classes as per-element minima over the image table of every h."""
-    images = cayley[cayley, aut.table[inverses][:, None]]  # images[h, g] = (h g) aut(h^-1)
+    images = cayley[cayley, aut.at(inverses)[:, None]]  # images[h, g] = (h g) aut(h^-1)
     minima = images.min(axis=0)
     reps = np.unique(minima)
     return TwistedClassPartition(np.searchsorted(reps, minima), reps, len(reps))
@@ -222,21 +223,22 @@ class TestGroupModel:
         f = descend_automorphism(finite_reidemeister_automorphism(7, 2), g)
         part = twisted_classes(g, f)
         assert part.count == 4
-        chk = verify_tbft_finite(g, f, part, twisted_classes(g, identity_automorphism(g)))
+        chk = verify_tbft_finite(g, f, part, twisted_classes(g, identity_descent(g)))
         assert chk.passed and chk.lhs == 4, chk.line()
         assert sum(a.nbytes for a in g.ensure_tables().values()) < 1 << 20
 
 
 class TestFiniteAutomorphism:
     def test_identity(self):
+        # the identity table passes the whole-table check and equals the identity's descent
         g = FiniteWreathGroup(3, 2, 1)
-        ident = identity_automorphism(g)
-        assert ident(7) == 7
+        ident = TableAutomorphism(g, np.arange(g.order), provenance="identity")
+        assert ident.at(7) == 7 and ident == identity_descent(g)
 
     def test_rejects_non_bijection(self):
         g = FiniteWreathGroup(3, 2, 1)
         with pytest.raises(InvalidAutomorphism):
-            FiniteAutomorphism(g, np.zeros(g.order, dtype=np.int32))
+            TableAutomorphism(g, np.zeros(g.order, dtype=np.int32))
 
     @pytest.mark.parametrize("entry", ["minus-one", "order", "duplicate"])
     def test_out_of_range_or_repeated_entry_is_not_a_bijection(self, entry):
@@ -245,7 +247,7 @@ class TestFiniteAutomorphism:
         table = np.arange(g.order, dtype=np.int32)
         table[7] = {"minus-one": -1, "order": g.order, "duplicate": 3}[entry]
         with pytest.raises(InvalidAutomorphism) as info:
-            FiniteAutomorphism(g, table, provenance="bent")
+            TableAutomorphism(g, table, provenance="bent")
         assert type(info.value) is InvalidAutomorphism
         assert str(info.value) == "bent is not a bijection"
 
@@ -253,7 +255,7 @@ class TestFiniteAutomorphism:
         g = FiniteWreathGroup(3, 2, 1)
         table = np.roll(np.arange(g.order, dtype=np.int32), 1)
         with pytest.raises(InvalidAutomorphism):
-            FiniteAutomorphism(g, table)
+            TableAutomorphism(g, table)
 
     def test_non_homomorphism_names_first_failing_generator(self):
         # swap two cosets of <t>, t the origin generator, so the map is
@@ -274,7 +276,7 @@ class TestFiniteAutomorphism:
         ]
         assert failing == gens[1:]
         with pytest.raises(InvalidAutomorphism) as info:
-            FiniteAutomorphism(g, table, provenance="swapped")
+            TableAutomorphism(g, table, provenance="swapped")
         assert str(info.value) == f"swapped is not multiplicative at generator {failing[0]}"
 
     def test_twisted_by_is_conjugation(self):
@@ -285,7 +287,7 @@ class TestFiniteAutomorphism:
             a = rng.randrange(g.order)
             x = rng.randrange(g.order)
             tw = twisted_by(f, a)
-            assert tw(x) == multiply(g, multiply(g, a, f(x)), inverse(g, a))
+            assert tw.at(x) == multiply(g, multiply(g, a, f.at(x)), inverse(g, a))
 
     def test_rejects_swap_of_two_non_generators(self):
         # agrees with an automorphism on the generators and everywhere but two
@@ -295,22 +297,22 @@ class TestFiniteAutomorphism:
         f = zero_cocycle_catalog(g)[1]
         x, y = 1000, 3001
         assert not {x, y} & set(g.generators() + [g.identity])
-        table = f.table.copy()
+        table = f.at(np.arange(g.order))
         table[[x, y]] = table[[y, x]]
         with pytest.raises(InvalidAutomorphism):
-            FiniteAutomorphism(g, table)
+            TableAutomorphism(g, table)
 
     def test_shift_map(self):
         g = FiniteWreathGroup(5, 4, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        assert list(f.shift_map()) == [0, 3, 2, 1]  # negation mod 4
+        assert list(f.shift) == [0, 3, 2, 1]  # negation mod 4
 
 
 class TestDescend:
     def test_identity_descends_to_identity(self):
         g = FiniteWreathGroup(3, 2, 2)
         f = descend_automorphism(WreathAutomorphism.identity(GroupParams(3, 2)), g)
-        assert np.array_equal(f.table, np.arange(g.order))
+        assert np.array_equal(f.at(np.arange(g.order)), np.arange(g.order))
 
     def test_invalid_automorphism_rejected(self):
         g = FiniteWreathGroup(5, 2, 1)
@@ -344,7 +346,7 @@ class TestDescend:
         aut = twist(WreathAutomorphism.identity(GroupParams(3, 1)), gamma)
         f = descend_automorphism(aut, g)
         # inner automorphisms never change class counts
-        assert twisted_classes(g, f).count == twisted_classes(g, identity_automorphism(g)).count
+        assert twisted_classes(g, f).count == twisted_classes(g, identity_descent(g)).count
 
     def test_matches_pointwise_application(self):
         g = FiniteWreathGroup(5, 2, 1)
@@ -352,14 +354,14 @@ class TestDescend:
         f = descend_automorphism(aut, g)
         for idx in range(g.order):
             image = aut(element_to_group(g, idx))
-            assert f(idx) == group_to_index(g, image)
+            assert f.at(idx) == group_to_index(g, image)
         # a larger model, on sampled elements
         rng = random.Random(83)
         g = FiniteWreathGroup(7, 2, 2)
         aut = finite_reidemeister_automorphism(7, 2)
         f = descend_automorphism(aut, g)
         for idx in rng.sample(range(g.order), 300):
-            assert f(idx) == group_to_index(g, aut(element_to_group(g, idx)))
+            assert f.at(idx) == group_to_index(g, aut(element_to_group(g, idx)))
 
     def test_python_fallback_matches_vectorized(self):
         cases = [
@@ -385,7 +387,7 @@ class TestDescend:
             cases.append(((n, m, k), aut))
         for model, aut in cases:
             g = FiniteWreathGroup(*model)
-            fast = descend_automorphism(aut, g).table
+            fast = descend_automorphism(aut, g).at(np.arange(g.order))
             assert np.array_equal(python_descent_table(aut, g), fast)
 
     def test_cocycle_obstruction_names_its_axis(self, monkeypatch):
@@ -436,10 +438,10 @@ def guard_and_table_refusals(monkeypatch, group, u_rows, corr, shift):
     The table is the one `at` evaluates, built with the guard switched off.
     """
     with monkeypatch.context() as patch:
-        patch.setattr(DescendedAutomorphism, "_guard", lambda self: None)
-        table = DescendedAutomorphism(group, u_rows, corr, shift, "bent").table
-    guard = refusal(lambda: DescendedAutomorphism(group, u_rows, corr, shift, "bent"))
-    return guard, refusal(lambda: FiniteAutomorphism(group, table, provenance="bent"))
+        patch.setattr(FiniteAutomorphism, "_guard", lambda self: None)
+        table = FiniteAutomorphism(group, u_rows, corr, shift, "bent").at(np.arange(group.order))
+    guard = refusal(lambda: FiniteAutomorphism(group, u_rows, corr, shift, "bent"))
+    return guard, refusal(lambda: TableAutomorphism(group, table, provenance="bent"))
 
 
 class TestFormulaDescent:
@@ -455,9 +457,8 @@ class TestFormulaDescent:
             fin = descend_automorphism(aut, g)
             whole = fin.at(np.arange(g.order))
             assert np.array_equal(whole, whole_table_descent(aut, g))
-            checked = FiniteAutomorphism(g, whole)  # passes the whole-table check
-            assert np.array_equal(fin.table, checked.table) and fin == checked
-            assert fin.images == tuple(whole[inverse_gens].tolist())
+            checked = TableAutomorphism(g, whole)  # passes the whole-table check
+            assert fin == checked and fin.images == tuple(whole[inverse_gens].tolist())
 
     def test_guard_refuses_exactly_as_the_table_check(self, monkeypatch):
         # one-entry corruptions of U or corr: refused with the table check's
@@ -526,17 +527,17 @@ class TestFormulaDescent:
         assert refusals == (f"bent is not multiplicative at generator {g.generators()[1]}",) * 2
 
 
-def spy_whole_tables(monkeypatch):
-    """Record the provenance of every descent whose whole table is built."""
-    built = []
-    build = DescendedAutomorphism.table.func
+def spy_at_sizes(monkeypatch):
+    """Record each call of `FiniteAutomorphism.at` as (model order, argument size)."""
+    calls = []
+    real = FiniteAutomorphism.at
 
-    def spy(self):
-        built.append(self.provenance)
-        return build(self)
+    def spy(self, indices):
+        calls.append((self.group.order, np.size(indices)))
+        return real(self, indices)
 
-    monkeypatch.setattr(DescendedAutomorphism, "table", property(spy))
-    return built
+    monkeypatch.setattr(FiniteAutomorphism, "at", spy)
+    return calls
 
 
 class TestDescentWork:
@@ -554,10 +555,10 @@ class TestDescentWork:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
-        assert "table" not in vars(fin)
 
     def test_only_projection_builds_whole_tables(self, monkeypatch):
-        built = spy_whole_tables(monkeypatch)
+        # no check but projection evaluates a formula on as many elements as its model has
+        calls = spy_at_sizes(monkeypatch)
         aut = WreathAutomorphism(GroupParams(3, 1), ((-1,),), Torsion.delta(3, 1, (3,), 2))
         runs = [
             (FiniteWreathGroup(3, 10, 1), [aut], ["tbft"]),
@@ -568,11 +569,13 @@ class TestDescentWork:
         for group, sources, checks in runs:
             results = list(finite.run_checks(group, sources, checks))
             assert results and all(r.passed for r in results)
-        assert built == []
+        assert calls and all(size < order for order, size in calls)
+        calls.clear()
         aut = WreathAutomorphism(GroupParams(9, 1), ((-1,),), Torsion.delta(9, 1, (1,), 2))
         results = list(finite.run_checks(FiniteWreathGroup(9, 2, 1), [aut], ["projection"], 3))
         assert all(r.passed for r in results)
-        assert built  # the spy sees the projection's tables
+        # the diagram evaluates the small model's formula at pi(x), then the big one's, for all x
+        assert [call for call in calls if call[1] >= call[0]] == [(18, 162), (162, 162)]
 
 
 class TestTwistedClasses:
@@ -580,7 +583,7 @@ class TestTwistedClasses:
         # Z_3 wr Z/2: torsion pairs split into 6 classes, the 9 swap-side
         # elements into 3 classes by coefficient sum
         g = FiniteWreathGroup(3, 2, 1)
-        assert twisted_classes(g, identity_automorphism(g)).count == 9
+        assert twisted_classes(g, identity_descent(g)).count == 9
 
     def test_matches_unionfind(self):
         g = FiniteWreathGroup(3, 2, 1)
@@ -623,12 +626,12 @@ class TestTwistedClasses:
         for _ in range(100):
             h = rng.randrange(g.order)
             x = rng.randrange(g.order)
-            moved = multiply(g, multiply(g, h, x), f(inverse(g, h)))
+            moved = multiply(g, multiply(g, h, x), f.at(inverse(g, h)))
             assert part.labels[moved] == part.labels[x]
 
     def test_fixed_conjugacy_identity(self):
         g = FiniteWreathGroup(3, 2, 1)
-        assert fixed_conjugacy_classes(twisted_classes(g, i := identity_automorphism(g)), i) == 9
+        assert fixed_conjugacy_classes(twisted_classes(g, i := identity_descent(g)), i) == 9
 
 
 def spy_orbit_minima(monkeypatch):
@@ -691,7 +694,7 @@ class TestOrbitMinima:
         assert g.order == 4374
         auts = [descend_automorphism(a, g) for a in zero_cocycle_automorphisms(3, 1, 6)[1::11]]
         calls = spy_orbit_minima(monkeypatch)
-        finite._partitions(g, [identity_automorphism(g).images] + [f.images for f in auts])
+        finite._partitions(g, [identity_descent(g).images] + [f.images for f in auts])
         ((edges, order, minima),) = calls
         assert edges.shape == (len(g.generators()), order) and order == 4 * g.order
         assert_orbit_minima(edges, order, minima)
@@ -826,7 +829,7 @@ class TestOracleChecks:
             g = FiniteWreathGroup(n, m, k)
             for f in zero_cocycle_catalog(g):
                 chk = verify_tbft_finite(
-                    g, f, twisted_classes(g, f), twisted_classes(g, identity_automorphism(g))
+                    g, f, twisted_classes(g, f), twisted_classes(g, identity_descent(g))
                 )
                 assert chk.passed, chk.line()
 
@@ -838,14 +841,14 @@ class TestOracleChecks:
         base = twisted_classes(g, f).count
         for tw in twists:
             assert verify_tbft_finite(
-                g, tw, twisted_classes(g, tw), twisted_classes(g, identity_automorphism(g))
+                g, tw, twisted_classes(g, tw), twisted_classes(g, identity_descent(g))
             ).passed
             assert twisted_classes(g, tw).count == base
 
     def test_inner_twists_of_identity_frozen_count(self):
         # the center of Z_3 wr Z/2 is the three constant torsion elements
         g = FiniteWreathGroup(3, 2, 1)
-        twists = inner_twists(g, identity_automorphism(g))
+        twists = inner_twists(g, identity_descent(g))
         assert len(twists) == g.order // 3 == 6
 
     def test_shift_invariance(self):
@@ -865,6 +868,24 @@ class TestOracleChecks:
                 fs = descend_automorphism(aut.induce(d), small)
                 checks = verify_projection(big, small, fb, fs, twisted_classes(big, fb))
                 assert all(c.passed for c in checks), [c.line() for c in checks]
+
+    def test_projection_diagram_fail_counts_the_disagreements(self):
+        # the big model's map paired with the small descent of another catalog entry:
+        # the diagram fails at exactly the x where aut_small(pi(x)) != pi(aut_big(x))
+        big, small = FiniteWreathGroup(9, 2, 1), FiniteWreathGroup(3, 2, 1)
+        catalog = zero_cocycle_automorphisms(9, 1, 2)
+        aut_big, aut_other = catalog[-1], catalog[1].induce(3)
+        fb = descend_automorphism(aut_big, big)
+        fs = descend_automorphism(aut_other, small)
+        checks = verify_projection(big, small, fb, fs, twisted_classes(big, fb))
+        bad = 0
+        for x in range(big.order):
+            gx = element_to_group(big, x)
+            down_then_map = aut_other.apply(project_element(gx, 3))
+            map_then_down = project_element(aut_big.apply(gx), 3)
+            bad += group_to_index(small, down_then_map) != group_to_index(small, map_then_down)
+        assert 0 < bad < big.order
+        assert checks[0] == OracleCheck("projection-diagram", checks[0].params, False, bad, 0)
 
     def test_projection_index_map_needs_matching_box(self):
         with pytest.raises(ValueError):
@@ -897,7 +918,7 @@ class TestCatalogs:
         g = FiniteWreathGroup(3, 2, 1)
         catalog = zero_cocycle_catalog(g)
         assert len(catalog) == 4  # negation collapses onto identity mod 2
-        tables = {f.table.tobytes() for f in catalog}
+        tables = {f.at(np.arange(g.order)).tobytes() for f in catalog}
         assert len(tables) == 4
 
     def test_catalog_rank_two_includes_order_three_blocks(self):
@@ -906,5 +927,5 @@ class TestCatalogs:
         assert len(catalog) >= 2
         for f in catalog:
             assert verify_tbft_finite(
-                g, f, twisted_classes(g, f), twisted_classes(g, identity_automorphism(g))
+                g, f, twisted_classes(g, f), twisted_classes(g, identity_descent(g))
             ).passed

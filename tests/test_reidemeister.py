@@ -3,10 +3,12 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 
-from lamptwist.group import GroupParams, Torsion
+from lamptwist.group import GroupElement, GroupParams, Torsion
 from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism
 from lamptwist.reidemeister import (
     classify_r_infinity,
@@ -23,7 +25,14 @@ from lamptwist.reidemeister import (
 from lamptwist.fileformat import SchemaError, certificate_from_dict, certificate_to_dict
 from lamptwist.modular import crt, factorize
 from lamptwist.matrix import block_diagonal, identity, mat_sub, det
-from reference import fixed_character_count, mat_pow, random_unimodular, reference_smith_normal_form
+from reference import (
+    fixed_character_count,
+    mat_pow,
+    random_unimodular,
+    reference_smith_normal_form,
+    rule_reidemeister,
+    twist,
+)
 
 BLOCK = ((0, 1), (-1, -1))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -364,3 +373,72 @@ class TestCertificateSerialization:
         data["kind"] = "something-else"
         with pytest.raises(SchemaError):
             certificate_from_dict(data)
+
+
+CENSUS_MODULI = (5, 7, 9, 25, 35, 45, 49)
+NILPOTENT_MODULI = (9, 25, 45, 49)
+
+
+def census_automorphism(rng, kind: str, k: int) -> WreathAutomorphism:
+    """One automorphism of rank k, drawn as the benchmark's verdict corpus draws its kind.
+
+    "random": a random lattice map and a unit at one point of {-1, 0, 1}^k;
+    "nilpotent": the same plus one or two terms in the radical of n, so u
+    has several points; "twist": an inner twist of the finite-R construction.
+    """
+    if kind == "twist":
+        n = rng.choice([n for n in CENSUS_MODULI if n % 3 or k % 2 == 0])
+        sigma = Torsion(n, k, [([rng.randint(-2, 2) for _ in range(k)], 1) for _ in range(3)])
+        gamma = GroupElement(sigma, [rng.randint(-2, 2) for _ in range(k)])
+        return twist(finite_reidemeister_automorphism(n, k), gamma)
+    n = rng.choice(NILPOTENT_MODULI if kind == "nilpotent" else CENSUS_MODULI)
+    point = [rng.randint(-1, 1) for _ in range(k)]
+    terms = [(point, rng.choice([c for c in range(1, n) if gcd(c, n) == 1]))]
+    if kind == "nilpotent":
+        radical = math.prod(factorize(n))
+        for _ in range(rng.randint(1, 2)):
+            terms.append(([rng.randint(-1, 1) for _ in range(k)], rng.randint(1, n) * radical))
+    return WreathAutomorphism(GroupParams(n, k), random_unimodular(rng, k), Torsion(n, k, terms))
+
+
+class TestRuleCensus:
+    # seeded draws of every rank and kind; the counts record each route with the
+    # rule's value, and each stage that decides an unknown route moves its count
+    # to a definite route
+    CENSUS = Counter({
+        ("lattice-infinite", "infinite"): 107,
+        ("template", "finite"): 118,
+        ("multi-point", "infinite"): 45,
+        ("multi-point", "finite"): 3,
+        ("no-order", "infinite"): 54,
+        ("non-invertible", "infinite"): 33,
+    })
+
+    def test_rule_frozen_values(self):
+        # the rule's three ways to infinity, and a finite count
+        def aut(n, matrix, u):
+            return WreathAutomorphism(GroupParams(n, len(matrix)), matrix, u)
+
+        quarter_turn = ((0, -1), (1, 0))  # order 4, det(I - M) = 2, and 2^4 = 1 mod 5
+        assert rule_reidemeister(aut(5, quarter_turn, Torsion.delta(5, 2, (0, 0), 2))) == math.inf
+        assert rule_reidemeister(aut(5, quarter_turn, Torsion.delta(5, 2, (0, 0), 3))) == math.inf
+        assert rule_reidemeister(aut(7, quarter_turn, Torsion.delta(7, 2, (0, 0), 2))) == 2
+        shear = ((2, 1), (1, 1))  # infinite order, det(I - M) = -1
+        assert rule_reidemeister(aut(5, shear, Torsion.delta(5, 2, (0, 0), 2))) == math.inf
+        assert rule_reidemeister(aut(5, identity(2), Torsion.delta(5, 2, (0, 0), 2))) == math.inf
+        # the multi-point unit mod 9 of `test_unknown_result`: c_3 = 1
+        assert rule_reidemeister(aut(9, ((-1,),), Torsion(9, 1, [((0,), 1), ((1,), 3)]))) == math.inf
+        assert rule_reidemeister(finite_reidemeister_automorphism(25, 3)) == 8
+
+    def test_definite_verdicts_agree_with_the_rule(self):
+        rng = random.Random(4711)
+        census = Counter()
+        for _ in range(360):
+            kind, k = rng.choice(["random", "nilpotent", "twist"]), rng.randint(1, 3)
+            aut = census_automorphism(rng, kind, k)
+            rule = rule_reidemeister(aut)
+            result = reidemeister_number(aut)
+            if result.value is not None:
+                assert result.value == rule, (aut.label(), result.route)
+            census[result.route, "infinite" if rule == math.inf else "finite"] += 1
+        assert census == self.CENSUS
