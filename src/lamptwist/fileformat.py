@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .automorphism import WreathAutomorphism
@@ -103,6 +104,14 @@ def load(path) -> dict:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
         except RecursionError:
             raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None
+        except ValueError as exc:
+            if type(exc) is not ValueError:  # a repeated key, or bytes that are not UTF-8
+                raise
+            # int() refuses a literal past the interpreter's digit limit, which
+            # stays in place to keep hostile JSON from quadratic parsing
+            limit = sys.get_int_max_str_digits()
+            message = f"invalid JSON in {path}: an integer has over {limit} digits"
+            raise SchemaError(message) from None
 
 
 # -- automorphism files -----------------------------------------------------

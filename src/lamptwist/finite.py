@@ -31,7 +31,8 @@ along every edge, a test made of gathers alone.  Many automorphisms of one
 model are counted in one propagation over the disjoint union of their graphs:
 the ordinary classes that a TBFT check needs (the identity's row) join the
 count of the automorphism's own classes, and the shift check feeds its inner
-twists to that count a bounded chunk at a time.
+twists to that count a bounded chunk at a time.  Automorphisms, inner twists
+included, are told apart by one rule, their images of the generator inverses.
 Everything here is deterministic: representatives are minimal element
 indices and class ids are their ranks.
 """
@@ -121,7 +122,7 @@ class FiniteWreathGroup:
                 "perms": (coords[:, None, :] + coords) % self.box @ strides,
                 "sneg": -coords % self.box @ strides,
                 # row h holds slot * n + digit for the digits of the high (low) half h
-                # of a torsion index: the term columns that `_torsion_maps` sums
+                # of a torsion index: the term columns that `translations` sums
                 "high": np.arange(low, pcount) * n + digits[: n ** (pcount - low), : pcount - low],
                 "low": np.arange(low) * n + digits[: n**low, :low],
             }
@@ -149,46 +150,36 @@ class FiniteWreathGroup:
         torsion = (digits[ta] + moved) % self.modulus @ tables["wt"]
         return torsion * pcount + perms[sa, sb]
 
-    def _torsion_maps(self, shifts, addends) -> np.ndarray:
-        """Row r sends every torsion index t to shifts[r] . c_t + addends[r].
-
-        `shifts` holds point indices and `addends` digit vectors over the slots.
-        The image index is a sum of one term per digit of t, so it is summed
-        from the low and the high half of the digits, each tabulated over
-        about sqrt(T) values: O(T) work per row.
-        """
-        tables = self.ensure_tables()
-        n = self.modulus
-        target = tables["perms"][shifts]  # slot i of c_t moves to slot target[r, i]
-        added = np.asarray(addends)[np.arange(len(target))[:, None], target]
-        # term[r, i * n + d]: the contribution of digit value d at slot i
-        term = (np.arange(n) + added[:, :, None]) % n * tables["wt"][target][:, :, None]
-        term = term.reshape(len(target), -1)
-        high, rest = term[:, tables["high"]], term[:, tables["low"]]
-        out = high.sum(axis=2)[:, :, None] + rest.sum(axis=2)[:, None, :]
-        return out.reshape(len(target), -1)
-
-    def _elements(self, torsion_maps: np.ndarray, shift_rows) -> np.ndarray:
-        """Row j is the array x -> (torsion_maps[j, z_x](t_x), shift_rows[j, z_x]).
-
-        `torsion_maps` has one row per shift, or a single row for all shifts.
-        """
-        out = torsion_maps * self.point_count + np.asarray(shift_rows)[:, :, None]
-        return out.swapaxes(1, 2).reshape(len(out), -1)
-
     def translations(self, pairs) -> np.ndarray:
-        """Row j is the array x -> a x b over all x, for (a, b) = pairs[j]."""
+        """Row j is the array x -> a x b over all x, for (a, b) = pairs[j].
+
+        a x b = (c_a + z_a . c_x + (z_a + z_x) . c_b, z_a + z_x + z_b), where
+        (z . c)[i] = c[i - z].  For each pair and shift z_x the image index,
+        its torsion index times m^k plus its shift, is a constant plus one
+        term per digit of c_x, so it is summed from the high and the low half
+        of the digits, each tabulated over about sqrt(T) values.  The halves
+        are added by broadcasting into an array of shape (pairs, T_high,
+        T_low, m^k), whose flat index t·m^k + z_x is the element index of x:
+        O(|G|) work per pair, and nothing of that size is copied.
+        """
         tables = self.ensure_tables()
         digits, perms, sneg = tables["digits"], tables["perms"], tables["sneg"]
-        pcount = self.point_count
+        n, pcount = self.modulus, self.point_count
         (ta, sa), (tb, sb) = (np.divmod(np.array(side), pcount) for side in zip(*pairs))
-        # a x b = (c_a + z_a . c_x + (z_a + z_x) . c_b, z_a + z_x + z_b),
-        # where (z . c)[i] = c[i - z]; row r of each pair is the shift z_x = r
-        front = perms[sa]  # z_a + z_x
-        moved_b = digits[tb][np.arange(len(tb))[:, None, None], perms[sneg[front]]]
-        addends = (digits[ta][:, None, :] + moved_b).reshape(-1, pcount)
-        torsion = self._torsion_maps(np.repeat(sa, pcount), addends)
-        return self._elements(torsion.reshape(len(ta), pcount, -1), perms[front, sb[:, None]])
+        # target[j, i] = z_a + i: slot i of c_x moves there, and z_x = i shifts to it
+        target = perms[sa]
+        # added[j, i, z]: c_a + (z_a + z) . c_b at slot target[j, i], for z_x = z
+        moved_a = np.take_along_axis(digits[ta], target, axis=1)
+        added = moved_a[:, :, None] + digits[tb][:, perms[:, sneg]]
+        # term[j, i * n + d, z]: the contribution of digit value d at slot i, times m^k
+        term = (np.arange(n)[:, None] + added[:, :, None, :]) % n
+        term *= (tables["wt"][target] * pcount)[:, :, None, None]
+        term = term.reshape(len(ta), -1, pcount)
+        high = term[:, tables["high"]].sum(axis=2) + perms[target, sb[:, None]][:, None, :]
+        low = term[:, tables["low"]].sum(axis=2)
+        # allocated in C order, whatever the layout of the fancy-indexed halves
+        out = np.add(high[:, :, None, :], low[:, None, :, :], order="C")
+        return out.reshape(len(ta), -1)
 
 
 class FiniteAutomorphism:
@@ -332,15 +323,17 @@ def _partitions(group: FiniteWreathGroup, images) -> list[TwistedClassPartition]
     f is a homomorphism, so f(s)^-1 = f(s^-1) and row r's edge maps are
     x -> s x f(s^-1).  The rows form one graph: row r's edge maps are offset
     by r·|G|, so its orbits are the components in [r·|G|, (r+1)·|G|) and one
-    propagation finds the orbit minima of the whole stack.
+    propagation finds the orbit minima of the whole stack.  The pairs are
+    listed generator-major, so the edge maps of one generator over all rows
+    are one row of the union graph as built.
     """
     order, gens = group.order, group.generators()
     rows = len(images)
-    pairs = [(s, fs) for row in images for s, fs in zip(gens, row)]
+    pairs = [(s, row[i]) for i, s in enumerate(gens) for row in images]
     offsets = np.arange(0, rows * order, order, dtype=np.int64)
-    edges = group.translations(pairs).reshape(rows, len(gens), order)
-    edges += offsets[:, None, None]
-    union = edges.swapaxes(0, 1).reshape(len(gens), -1)
+    edges = group.translations(pairs).reshape(len(gens), rows, order)
+    edges += offsets[:, None]
+    union = edges.reshape(len(gens), -1)
     all_minima = _orbit_minima(union, rows * order).reshape(rows, order)
     all_minima -= offsets[:, None]
     ids = np.arange(order)
@@ -451,52 +444,41 @@ def verify_shift_invariance(
 ) -> list[OracleCheck]:
     """Count invariance under the inner twists by `elements`, plus the class-level bijection.
 
-    Three checks per g, in the order of `elements`.  h and h·c twist alike
-    for every central c, so one twist is counted per coset of the center
-    met by every g and g^-1, a chunk at a time; of a chunk's partitions only
-    the counts and the class-map figures are kept, so memory stays that of
-    one chunk.  `base` is the partition of `aut` itself, which is also the
-    twist by the center.
+    Three checks per g, in the order of `elements`.  A twist is known by its
+    generator images, the row c f(s^-1) c^-1 for the twist by c, so twists
+    by every g and g^-1 are computed in one batch and each distinct row is
+    counted once, a chunk at a time; the row `aut.images`, the twist by the
+    center, is `base`, the partition of `aut` itself.  Of a chunk's
+    partitions only the counts and the class-map figures are kept, so
+    memory stays that of one chunk.
     """
     elements = list(elements)
-    inverse = dict(zip(elements, group.inverses(elements).tolist()))
-    coset = _central_cosets(group, [*elements, *inverse.values()])
-    central = {g: base for g in elements if coset[inverse[g]] == group.identity}
-    counts, classmap = {group.identity: base.count}, _class_maps(group, base, central)
-    for chunk in _chunks(group, sorted(set(coset.values()) - {group.identity})):
-        # the twist by c sends s^-1 to c f(s^-1) c^-1
-        left = np.repeat(chunk, len(aut.images))
-        images = group.products(group.products(left, aut.images * len(chunk)), group.inverses(left))
-        parts = dict(zip(chunk, _partitions(group, images.reshape(len(chunk), -1).tolist())))
-        counts.update((c, part.count) for c, part in parts.items())
-        moved = {g: parts[coset[inverse[g]]] for g in elements if coset[inverse[g]] in parts}
+    twisting = [*elements, *group.inverses(elements).tolist()]
+    left = np.repeat(twisting, len(aut.images))
+    images = group.products(group.products(left, aut.images * len(twisting)), group.inverses(left))
+    rows = list(map(tuple, images.reshape(len(twisting), -1).tolist()))
+    by_g, by_inverse = rows[: len(elements)], rows[len(elements) :]
+    counts, classmap = {}, {}
+
+    def record(parts):
+        counts.update((row, part.count) for row, part in parts.items())
+        moved = {g: parts[row] for g, row in zip(elements, by_inverse) if row in parts}
         classmap.update(_class_maps(group, base, moved))
-        del parts, moved  # freed before the next chunk is counted
+
+    record({aut.images: base})
+    for chunk in _chunks(group, [row for row in dict.fromkeys(rows) if row != aut.images]):
+        record(dict(zip(chunk, _partitions(group, chunk))))  # freed before the next chunk
     checks = []
-    for g in elements:
+    for g, row, inverse_row in zip(elements, by_g, by_inverse):
         params = _model_params(group, aut=aut.provenance, g=g)
-        twisted, other = counts[coset[g]], counts[coset[inverse[g]]]
+        count, inverse_count = counts[row], counts[inverse_row]
         pairs, onto = classmap[g]
         checks += [
-            OracleCheck("shift-count", params, base.count == twisted, base.count, twisted),
+            OracleCheck("shift-count", params, base.count == count, base.count, count),
             OracleCheck("shift-classmap", params, pairs == base.count, pairs, base.count),
-            OracleCheck("shift-onto", params, onto == other, onto, other),
+            OracleCheck("shift-onto", params, onto == inverse_count, onto, inverse_count),
         ]
     return checks
-
-
-def _central_cosets(group: FiniteWreathGroup, elements: list[int]) -> dict[int, int]:
-    """Each element's coset of the center, named by its member with origin digit 0.
-
-    The center is the constant lamp configurations with zero shift, or all
-    of G when m^k = 1; subtracting the origin digit from every digit, shift
-    kept, gives the member.
-    """
-    tables = group.ensure_tables()
-    digits, wt = tables["digits"], tables["wt"]
-    t, s = np.divmod(np.array(elements, dtype=np.int64), group.point_count)
-    torsion = ((digits[t] - digits[t, :1]) % group.modulus) @ wt
-    return dict(zip(elements, (torsion * group.point_count + s).tolist()))
 
 
 def _distinct(a: np.ndarray) -> int:
@@ -534,7 +516,7 @@ def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np
         raise ValueError("projection needs equal boxes and a dividing modulus")
     d, pcount = small.modulus, big.point_count
     torsion = (big.ensure_tables()["digits"] % d) @ (d ** np.arange(pcount, dtype=np.int64))
-    return big._elements(torsion[None, None, :], [np.arange(pcount)])[0].astype(np.int32)
+    return (torsion[:, None] * pcount + np.arange(pcount)).astype(np.int32).reshape(-1)
 
 
 def verify_projection(
@@ -652,7 +634,7 @@ SHIFT_SAMPLE_CAP = 200
 SHIFT_SAMPLES = 25
 
 
-def _shift_elements(order: int) -> list[int]:
+def _shift_samples(order: int) -> list[int]:
     """Every element of a model up to SHIFT_SAMPLE_CAP, else SHIFT_SAMPLES seeded picks."""
     if order <= SHIFT_SAMPLE_CAP:
         return list(range(order))
@@ -672,17 +654,17 @@ def run_checks(
     if "projection" in checks:
         # divisor < modulus, so the smaller model fits the budget `group` met
         small = FiniteWreathGroup(divisor, group.box, group.rank, budget=group.order)
-    samples = _shift_elements(group.order) if "shift" in checks else []
+    samples = _shift_samples(group.order) if "shift" in checks else []
     try:
         # the identity's images of the generator inverses are the inverses themselves
         identity, ordinary = tuple(group.ensure_tables()["inverse_gens"].tolist()), None
         for aut, fin in distinct_descents(sources, group):
-            if "tbft" not in checks or ordinary is not None:
-                base = twisted_classes(group, fin)
-            elif fin.images == identity:
-                base = ordinary = twisted_classes(group, fin)
+            if "tbft" in checks and ordinary is None:
+                # one row when fin is the identity
+                parts = _partitions(group, list(dict.fromkeys([fin.images, identity])))
+                base, ordinary = parts[0], parts[-1]
             else:
-                base, ordinary = _partitions(group, [fin.images, identity])
+                base = twisted_classes(group, fin)
             if "tbft" in checks:
                 yield verify_tbft_finite(group, fin, base, ordinary)
             if "shift" in checks:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from operator import add, mul
 
-from .modular import bounded_message
+from .modular import bounded_message, decimal
 
 Point = tuple[int, ...]
 
@@ -195,7 +195,8 @@ class Torsion:
     # -- plumbing ----------------------------------------------------------
 
     def render(self) -> str:
-        return " + ".join(f"{c}*D[{','.join(str(x) for x in p)}]" for p, c in self._items) or "0"
+        terms = (f"{decimal(c)}*D[{','.join(map(decimal, p))}]" for p, c in self._items)
+        return " + ".join(terms) or "0"
 
     def __eq__(self, other):
         return (
@@ -260,7 +261,7 @@ class GroupElement:
         return GroupElement(-self.torsion.shifted(neg), neg)
 
     def render(self) -> str:
-        return f"({self.torsion.render()} ; {','.join(str(c) for c in self.shift)})"
+        return f"({self.torsion.render()} ; {','.join(map(decimal, self.shift))})"
 
 
 def twisted_conjugate(h: GroupElement, g: GroupElement, phi: Callable[[GroupElement], GroupElement]) -> GroupElement:

@@ -11,6 +11,17 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
 
 
+def decimal(x: int) -> str:
+    """x in decimal, however many digits: str() refuses past sys.get_int_max_str_digits(),
+    a limit that stays in place to keep hostile JSON from quadratic parsing."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # exact for an int, and not bound by that limit
+
+        return str(Decimal(x))
+
+
 def bounded_message(message: str, *numbers: int) -> str:
     """`message` with `numbers`, those past 40 digits by order of magnitude if the error
     line would reach 200 characters (Python prints no integer of over 4300 digits)."""

@@ -33,12 +33,12 @@ from .matrix import (
     mat_vec,
     matrix_order,
 )
-from .modular import crt, divisors, factorize, modinv
+from .modular import crt, decimal, divisors, factorize, modinv
 
 
 def render_count(count: int | float | None) -> str:
     """A count as the CLI prints it: decimal, `infinite` for math.inf, `unknown` for None."""
-    return "unknown" if count is None else "infinite" if count == math.inf else str(count)
+    return "unknown" if count is None else "infinite" if count == math.inf else decimal(count)
 
 
 def reidemeister_abelian(matrix: IntMatrix) -> int | float:

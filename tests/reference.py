@@ -22,8 +22,10 @@ for lattice maps, `project_element` for reduction mod a divisor, `compose`,
 `twisted_by`, `zero_cocycle_catalog` and `inner_twists` for automorphisms of a
 finite model.  `TableAutomorphism` is an automorphism of a model given by its
 whole image table and checked over the whole group, and `whole_table_descent`
-is the descent that built such a table from the model's digit tables; the
-tests compare the formula and its guard with them.  `rule_reidemeister` is
+builds such a table from the model's translations; the tests compare the
+formula and its guard with them.  `central_cosets` names each element's coset
+of the center from the center's known form; the shift check's twists, told
+apart by their generator images, are compared with it.  `rule_reidemeister` is
 the mod-p rule for R(phi), written from `Torsion` items and `mat_pow` alone;
 a census test judges the program's definite verdicts by it.
 """
@@ -599,7 +601,7 @@ def whole_table_descent(aut: WreathAutomorphism, group) -> np.ndarray:
     Same recurrences as `descend_automorphism`: each axis's cocycle
     obstruction, then the box's cocycle values corr(p + e_i) = corr(p) +
     shift(M p) c_i.  The table applies the linear part to every torsion
-    index, adds corr(z) with the model's per-shift torsion maps, and pairs
+    index, adds corr(z) by the left translation by (corr(z), 0), and pairs
     the result with the reduced shift map.
     """
     aut._require_valid()
@@ -628,5 +630,20 @@ def whole_table_descent(aut: WreathAutomorphism, group) -> np.ndarray:
         corr[q] = (corr[q - strides[i]] + steps[i][q - strides[i]]) % n
     u_rows = reduce_vec(aut.origin_image)[moved]
     linear = ((tables["digits"] @ u_rows) % n) @ tables["wt"]
-    added = group._torsion_maps(np.zeros(pcount, dtype=np.int64), corr)
-    return group._elements(added[None, :, linear], [shift_map])[0]
+    # row z: x -> (corr(z), 0) x, read at x = (U c, 0) for every c
+    added = group.translations([(int(row @ tables["wt"]) * pcount, group.identity) for row in corr])
+    return (added[:, linear * pcount] + shift_map[:, None]).T.reshape(-1)
+
+
+def central_cosets(group, elements: list[int]) -> dict[int, int]:
+    """Each element's coset of the center, named by its member with origin digit 0.
+
+    The center is the constant lamp configurations with zero shift, or all
+    of G when m^k = 1; subtracting the origin digit from every digit, shift
+    kept, gives the member.
+    """
+    tables = group.ensure_tables()
+    digits, wt = tables["digits"], tables["wt"]
+    t, s = np.divmod(np.array(elements, dtype=np.int64), group.point_count)
+    torsion = ((digits[t] - digits[t, :1]) % group.modulus) @ wt
+    return dict(zip(elements, (torsion * group.point_count + s).tolist()))

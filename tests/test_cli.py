@@ -25,7 +25,7 @@ from lamptwist.reidemeister import (
     template_preimage,
 )
 from lamptwist.finite import OracleCheck
-from lamptwist.matrix import MAX_RANK
+from lamptwist.matrix import MAX_RANK, det, mat_sub
 from reference import identity_descent
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -891,6 +891,56 @@ class TestLongNumbers:
     def test_long_factor_line_is_short(self, capsys):
         code, _, err = run(capsys, "classify", str(10**300 + 7), "2", "--no-write")
         assert code == 1 and err.startswith("error: cannot factor ~10^3") and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["reidemeister"], ["verify"], ["oracle", "5", "2", "1", "--aut"]],
+        ids=["validate", "reidemeister", "verify", "oracle"],
+    )
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path, argv):
+        # int() refuses the literal inside json.load; the limit itself stays in place
+        text = fileformat.dumps({
+            "schema": 1, "modulus": 5, "rank": 1, "matrix": [[-1]],
+            "u": [{"coeff": 1, "point": [0]}], "cocycle": [[]],
+        }).replace('"point": [\n        0', '"point": [\n        1' + "0" * 5000)
+        (tmp_path / "a.json").write_text(text, encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        assert run_hostile(capsys, *argv, "a.json") == (
+            f"error: invalid JSON in a.json: an integer has over {limit} digits"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_count_longer_than_str_prints_in_full(self, capsys, tmp_path):
+        # det(I - M) has 8599 digits, twice as many as str() prints
+        b = 10**4299 + 7
+        matrix = [[3, b, 1], [b, -1, 0], [1, 0, 0]]
+        fileformat.save(tmp_path / "a.json", {
+            "schema": 1, "modulus": 5, "rank": 3, "matrix": matrix,
+            "u": [{"coeff": 2, "point": [0, 0, 0]}], "cocycle": [[], [], []],
+        })
+        assert run(capsys, "validate", "a.json")[0] == 0
+        code, out, err = run(capsys, "reidemeister", "a.json", "--emit-certificate", "c.json")
+        assert code == 3 and err == ""
+        quotient, *rest = out.splitlines()
+        assert rest == ["certificate = unknown", "R = unknown"]
+        digits = quotient.removeprefix("R_quotient = ")
+        assert len(digits) == 8599 and digits.isdigit()
+        value = 0
+        for i in range(0, len(digits), 1000):  # int() parses no more than 4300 digits at once
+            chunk = digits[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        assert value == abs(det(mat_sub(identity, matrix)))
+
+        # a false witness replays to a torsion element with an 8599-digit coordinate
+        cert = fileformat.load(tmp_path / "c.json")
+        false = {"point": [0, 0, 0], "preimage": [{"coeff": 1, "point": [0, 10**4299, 0]}]}
+        fileformat.save(tmp_path / "c.json", {**cert, "witnesses": [*cert["witnesses"], false]})
+        code, out, err = run(capsys, "verify", "c.json")
+        assert code == 2 and err == "" and out.endswith("\ncertificate rejected\n")
+        problem = next(line for line in out.splitlines() if line.startswith("problem: "))
+        assert problem.startswith("problem: witness at (0, 0, 0) replays to ")
+        assert len(problem) > 8599
 
 
 class TestLongStrings:

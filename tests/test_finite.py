@@ -30,6 +30,7 @@ from lamptwist.finite import (
 from lamptwist.matrix import identity as identity_matrix, mat_vec
 from reference import (
     TableAutomorphism,
+    central_cosets,
     decode,
     element_to_group,
     encode,
@@ -209,6 +210,22 @@ class TestGroupModel:
                     assert left[x] == multiply(g, a, x)
                     assert right[x] == multiply(g, x, b)
                     assert both[x] == multiply(g, multiply(g, a, x), b)
+
+    @pytest.mark.parametrize("model", [(3, 1, 2), (2, 3, 1), (3, 2, 2), (2, 3, 2)])
+    def test_translations_over_every_element(self, model):
+        # m = 1 leaves the low half of the digits empty; the other models have
+        # an odd point count or halves of unequal length
+        rng = random.Random(73)
+        g = FiniteWreathGroup(*model)
+        x = np.arange(g.order)
+        for _ in range(3):
+            pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(4)]
+            pairs += [(pairs[0][0], g.identity), (g.identity, pairs[1][1])]
+            rows = g.translations(pairs)
+            assert rows.shape == (len(pairs), g.order) and rows.dtype == np.int64
+            for (a, b), row in zip(pairs, rows):
+                expected = g.products(g.products(np.full(g.order, a), x), np.full(g.order, b))
+                assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("model", [(5, 2, 1), (3, 2, 2), (2, 3, 2), (3, 1, 2)])
     def test_products_match_reference(self, model):
@@ -705,7 +722,7 @@ class TestOrbitMinima:
         f = zero_cocycle_catalog(g)[-1]
         base = twisted_classes(g, f)
         calls = spy_orbit_minima(monkeypatch)
-        verify_shift_invariance(g, f, finite._shift_elements(g.order), base)
+        verify_shift_invariance(g, f, finite._shift_samples(g.order), base)
         assert len(calls) > 1 and max(order for _, order, _ in calls) > g.order
         for call in calls:
             assert_orbit_minima(*call)
@@ -779,13 +796,13 @@ class TestBatchedPartitions:
         "model", [(3, 2, 1), (2, 2, 2), (5, 2, 1), (3, 1, 1)], ids="{0[0]}-{0[1]}-{0[2]}".format
     )
     def test_central_cosets_group_equal_twists(self, monkeypatch, model):
-        # h and h' twist alike exactly when they share a coset of the center,
-        # and the shift check counts one twist per distinct table but f's own,
-        # each as the images of the generator inverses under its whole table
+        # h and h' twist alike exactly when they share a coset of the center;
+        # the shift check tells twists apart by their generator images alone,
+        # so it counts one row per coset but the center's, f's own images
         g = FiniteWreathGroup(*model)
         f = zero_cocycle_catalog(g)[-1]
         elements = list(range(g.order))
-        coset = finite._central_cosets(g, elements)
+        coset = central_cosets(g, elements)
         inverse_gens = g.ensure_tables()["inverse_gens"]
         by_table, by_coset, images = {}, {}, {}
         for h in elements:
@@ -800,7 +817,7 @@ class TestBatchedPartitions:
         verify_shift_invariance(g, f, elements, base)
         counted = sorted(row for call in calls for row, _ in call)
         assert counted == sorted(set(images.values()) - {f.images})
-        assert len(counted) == len(by_table) - 1
+        assert len(counted) == len(by_coset) - 1
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
     def test_chunk_bound_does_not_change_shift_output(self, capsys, monkeypatch, bound):
@@ -808,10 +825,10 @@ class TestBatchedPartitions:
         assert cli.main(argv) == 0
         expected = capsys.readouterr()
         g = FiniteWreathGroup(3, 2, 2)
-        samples = finite._shift_elements(g.order)
+        samples = finite._shift_samples(g.order)
         inverses = g.inverses(samples).tolist()
         # one row per coset but the center's
-        rows = len(set(finite._central_cosets(g, samples + inverses).values()) - {g.identity})
+        rows = len(set(central_cosets(g, samples + inverses).values()) - {g.identity})
         monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, rows)[bound])
         assert cli.main(argv) == 0
         assert capsys.readouterr() == expected
