@@ -135,10 +135,6 @@ class WreathAutomorphism:
         object.__setattr__(self, "_report", report)
         return report
 
-    @property
-    def is_valid(self) -> bool:
-        return self.validate().ok
-
     def _require_valid(self):
         report = self.validate()
         if not report.ok:

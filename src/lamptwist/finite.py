@@ -33,8 +33,7 @@ the ordinary classes that a TBFT check needs (the identity's row) join the
 count of the automorphism's own classes, and the shift check feeds its inner
 twists to that count a bounded chunk at a time.  Automorphisms, inner twists
 included, are told apart by one rule, their images of the generator inverses.
-Everything here is deterministic: representatives are minimal element
-indices and class ids are their ranks.
+Everything here is deterministic: a class is named by its least element.
 """
 
 from __future__ import annotations
@@ -303,8 +302,9 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
 class TwistedClassPartition(NamedTuple):
     """Partition of the model into twisted-conjugacy classes.
 
-    `labels[i]` is the class id of element i; ids are the ranks of the
-    minimal-element representatives listed in `reps`.  Both are int64 arrays.
+    A class is named by its least element: `labels[i]` is the least element
+    of i's class, and `reps` lists those names in increasing order.  Both
+    are int64 arrays.
     """
 
     labels: np.ndarray
@@ -312,9 +312,9 @@ class TwistedClassPartition(NamedTuple):
     count: int
 
 
-def twisted_classes(group: FiniteWreathGroup, aut: FiniteAutomorphism) -> TwistedClassPartition:
+def twisted_classes(aut: FiniteAutomorphism) -> TwistedClassPartition:
     """Orbits of x -> h x aut(h^-1), from one edge map per generator h."""
-    return _partitions(group, [aut.images])[0]
+    return _partitions(aut.group, [aut.images])[0]
 
 
 def _partitions(group: FiniteWreathGroup, images) -> list[TwistedClassPartition]:
@@ -338,10 +338,9 @@ def _partitions(group: FiniteWreathGroup, images) -> list[TwistedClassPartition]
     all_minima -= offsets[:, None]
     ids = np.arange(order)
     out = []
-    for minima in all_minima:
-        is_rep = minima == ids
-        reps = np.flatnonzero(is_rep)
-        out.append(TwistedClassPartition((np.cumsum(is_rep) - 1)[minima], reps, len(reps)))
+    for labels in all_minima:
+        reps = np.flatnonzero(labels == ids)
+        out.append(TwistedClassPartition(labels, reps, len(reps)))
     return out
 
 
@@ -372,7 +371,7 @@ def _orbit_minima(edges: np.ndarray, order: int) -> np.ndarray:
 def fixed_conjugacy_classes(ordinary: TwistedClassPartition, aut: FiniteAutomorphism) -> int:
     """Number of the ordinary classes, the identity's partition, that aut maps to themselves."""
     labels, reps, _ = ordinary
-    return int(np.count_nonzero(labels[aut.at(reps)] == labels[reps]))
+    return int(np.count_nonzero(labels[aut.at(reps)] == reps))
 
 
 # -- verification reports --------------------------------------------------------
@@ -406,10 +405,7 @@ def _model_params(group: FiniteWreathGroup, **extra) -> str:
 
 
 def verify_tbft_finite(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    base: TwistedClassPartition,
-    ordinary: TwistedClassPartition,
+    aut: FiniteAutomorphism, base: TwistedClassPartition, ordinary: TwistedClassPartition
 ) -> OracleCheck:
     """Twisted-class count against automorphism-fixed ordinary classes.
 
@@ -419,7 +415,7 @@ def verify_tbft_finite(
     rhs = fixed_conjugacy_classes(ordinary, aut)
     return OracleCheck(
         name="tbft",
-        params=_model_params(group, aut=aut.provenance),
+        params=_model_params(aut.group, aut=aut.provenance),
         passed=(lhs == rhs),
         lhs=lhs,
         rhs=rhs,
@@ -430,17 +426,8 @@ def verify_tbft_finite(
 _CHUNK_NODES = 4096
 
 
-def _chunks(group: FiniteWreathGroup, rows):
-    """Consecutive runs of `rows`, as many per run as fit _CHUNK_NODES, at least one."""
-    size = max(1, _CHUNK_NODES // group.order)
-    return [rows[i : i + size] for i in range(0, len(rows), size)]
-
-
 def verify_shift_invariance(
-    group: FiniteWreathGroup,
-    aut: FiniteAutomorphism,
-    elements: Iterable[int],
-    base: TwistedClassPartition,
+    aut: FiniteAutomorphism, elements: Iterable[int], base: TwistedClassPartition
 ) -> list[OracleCheck]:
     """Count invariance under the inner twists by `elements`, plus the class-level bijection.
 
@@ -448,10 +435,12 @@ def verify_shift_invariance(
     generator images, the row c f(s^-1) c^-1 for the twist by c, so twists
     by every g and g^-1 are computed in one batch and each distinct row is
     counted once, a chunk at a time; the row `aut.images`, the twist by the
-    center, is `base`, the partition of `aut` itself.  Of a chunk's
-    partitions only the counts and the class-map figures are kept, so
-    memory stays that of one chunk.
+    center, is `base`, the partition of `aut` itself.  Right translation by
+    g must send the classes of `base` one to one onto those of the twist by
+    g^-1.  Of a chunk's partitions only the counts and the class-map figures
+    are kept, so memory stays that of one chunk.
     """
+    group = aut.group
     elements = list(elements)
     twisting = [*elements, *group.inverses(elements).tolist()]
     left = np.repeat(twisting, len(aut.images))
@@ -463,10 +452,16 @@ def verify_shift_invariance(
     def record(parts):
         counts.update((row, part.count) for row, part in parts.items())
         moved = {g: parts[row] for g, row in zip(elements, by_inverse) if row in parts}
-        classmap.update(_class_maps(group, base, moved))
+        if moved:
+            rights = group.translations([(group.identity, g) for g in moved])
+            for (g, part), right in zip(moved.items(), rights):
+                classmap[g] = _class_map(base, part, right)
 
     record({aut.images: base})
-    for chunk in _chunks(group, [row for row in dict.fromkeys(rows) if row != aut.images]):
+    rest = [row for row in dict.fromkeys(rows) if row != aut.images]
+    size = max(1, _CHUNK_NODES // group.order)
+    for i in range(0, len(rest), size):
+        chunk = rest[i : i + size]
         record(dict(zip(chunk, _partitions(group, chunk))))  # freed before the next chunk
     checks = []
     for g, row, inverse_row in zip(elements, by_g, by_inverse):
@@ -490,24 +485,17 @@ def _distinct(a: np.ndarray) -> int:
     return int(s.size > 0) + int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def _class_maps(
-    group: FiniteWreathGroup, base: TwistedClassPartition, parts: dict
-) -> dict[int, tuple[int, int]]:
-    """Right translation by g against the classes, for each g -> partition P of the twist by g^-1.
+def _class_map(
+    base: TwistedClassPartition, part: TwistedClassPartition, where: np.ndarray
+) -> tuple[int, int]:
+    """The figures of x -> where[x] against the classes: (pairs, onto).
 
-    Right translation by g must send the classes of `base` onto those of P,
-    one to one.  Returns the number of distinct (base class of x, P class of
-    x g) pairs and the number of P classes hit, for each g.
+    `pairs` is the number of distinct (base class of x, `part` class of
+    where[x]) pairs, which equals base.count when the map sends each base
+    class into one `part` class; `onto` is the number of `part` classes hit.
     """
-    if not parts:
-        return {}
-    base_labels = base.labels * group.order
-    rights = group.translations([(group.identity, g) for g in parts])
-    figures = {}
-    for (g, part), right in zip(parts.items(), rights):
-        mapped = part.labels[right]
-        figures[g] = _distinct(base_labels + mapped), _distinct(mapped)
-    return figures
+    mapped = part.labels[where]
+    return _distinct(base.labels * len(part.labels) + mapped), _distinct(mapped)
 
 
 def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np.ndarray:
@@ -520,27 +508,22 @@ def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np
 
 
 def verify_projection(
-    big: FiniteWreathGroup,
-    small: FiniteWreathGroup,
-    aut_big: FiniteAutomorphism,
-    aut_small: FiniteAutomorphism,
-    base: TwistedClassPartition,
+    aut_big: FiniteAutomorphism, aut_small: FiniteAutomorphism, base: TwistedClassPartition
 ) -> list[OracleCheck]:
     """Projection compatibility: diagram, class map, and the count bound.
 
     `base` is the partition of `aut_big`.
     """
+    big, small = aut_big.group, aut_small.group
     pi = projection_index_map(big, small)
     params = _model_params(big, d=small.modulus, aut=aut_big.provenance)
     diagram_bad = int(np.count_nonzero(aut_small.at(pi) != pi[aut_big.at(np.arange(big.order))]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
-    part_small = twisted_classes(small, aut_small)
-    mapped = part_small.labels[pi]
-    pairs = _distinct(base.labels * small.order + mapped)
+    part_small = twisted_classes(aut_small)
+    pairs, onto = _class_map(base, part_small, pi)
     checks.append(
         OracleCheck("projection-classmap", params, pairs == base.count, pairs, base.count)
     )
-    onto = _distinct(mapped)
     checks.append(
         OracleCheck("projection-onto", params, onto == part_small.count, onto, part_small.count)
     )
@@ -557,7 +540,7 @@ def verify_projection(
 
 
 def verify_restriction_bound(
-    group: FiniteWreathGroup, aut: FiniteAutomorphism, base: TwistedClassPartition
+    aut: FiniteAutomorphism, base: TwistedClassPartition
 ) -> list[OracleCheck]:
     """R(restriction) <= R(full map) * fixed points of the shift quotient map.
 
@@ -565,6 +548,7 @@ def verify_restriction_bound(
     the restriction's classes are the cosets of the image of x -> x - aut(x)
     and counting them reduces to an image size.
     """
+    group = aut.group
     params = _model_params(group, aut=aut.provenance)
     pcount = group.point_count
     images = aut.at(np.arange(group.torsion_count, dtype=np.int64) * pcount)
@@ -664,16 +648,16 @@ def run_checks(
                 parts = _partitions(group, list(dict.fromkeys([fin.images, identity])))
                 base, ordinary = parts[0], parts[-1]
             else:
-                base = twisted_classes(group, fin)
+                base = twisted_classes(fin)
             if "tbft" in checks:
-                yield verify_tbft_finite(group, fin, base, ordinary)
+                yield verify_tbft_finite(fin, base, ordinary)
             if "shift" in checks:
-                yield from verify_shift_invariance(group, fin, samples, base)
+                yield from verify_shift_invariance(fin, samples, base)
             if "restriction" in checks:
-                yield from verify_restriction_bound(group, fin, base)
+                yield from verify_restriction_bound(fin, base)
             if "projection" in checks:
                 small_fin = descend_automorphism(aut.induce(divisor), small)
-                yield from verify_projection(group, small, fin, small_fin, base)
+                yield from verify_projection(fin, small_fin, base)
     except MemoryError:
         # a raised budget admits models whose tables outgrow memory
         raise ValueError(f"|G| = {group.order}: the finite model does not fit in memory") from None

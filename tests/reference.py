@@ -399,8 +399,7 @@ def twisted_classes_unionfind(group, aut) -> TwistedClassPartition:
         if r not in mins or x < mins[r]:
             mins[r] = x
     reps = sorted(mins.values())
-    rank = {rep: i for i, rep in enumerate(reps)}
-    labels = np.array([rank[mins[find(x)]] for x in range(order)], dtype=np.int64)
+    labels = np.array([mins[find(x)] for x in range(order)], dtype=np.int64)
     return TwistedClassPartition(labels, np.array(reps, dtype=np.int64), len(reps))
 
 

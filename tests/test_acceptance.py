@@ -71,7 +71,7 @@ def test_criterion_1_classification_table():
                 assert verdict.always_infinite == expected, (n, k)
                 if not expected:
                     assert verdict.automorphism is not None
-                    assert verdict.automorphism.is_valid
+                    assert verdict.automorphism.validate().ok
                     assert verdict.reidemeister >= 2
 
 
@@ -148,10 +148,10 @@ def test_criterion_6_finite_tbft():
             group = FiniteWreathGroup(n, m, k, budget=10**7)
             if group.order > 2000:
                 continue
-            ordinary = twisted_classes(group, identity_descent(group))
+            ordinary = twisted_classes(identity_descent(group))
             for f in zero_cocycle_catalog(group):
                 for tw in inner_twists(group, f):
-                    chk = verify_tbft_finite(group, tw, twisted_classes(group, tw), ordinary)
+                    chk = verify_tbft_finite(tw, twisted_classes(tw), ordinary)
                     assert chk.passed, chk.line()
                     checked += 1
         assert checked >= 100
@@ -168,9 +168,9 @@ def test_criterion_7_shift_invariance():
                 count = 10 if group.order <= 1000 else 5
                 shifts = sorted({rng.randrange(group.order) for _ in range(count)})
             for f in zero_cocycle_catalog(group):
-                base = twisted_classes(group, f).count
+                base = twisted_classes(f).count
                 for g in shifts:
-                    assert twisted_classes(group, twisted_by(f, g)).count == base
+                    assert twisted_classes(twisted_by(f, g)).count == base
 
 
 def test_criterion_8_projection_shadow():
@@ -181,7 +181,7 @@ def test_criterion_8_projection_shadow():
             for aut in zero_cocycle_automorphisms(15, 1, 2):
                 f_big = descend_automorphism(aut, big)
                 f_small = descend_automorphism(aut.induce(divisor), small)
-                checks = verify_projection(big, small, f_big, f_small, twisted_classes(big, f_big))
+                checks = verify_projection(f_big, f_small, twisted_classes(f_big))
                 assert all(c.passed for c in checks), [c.line() for c in checks]
                 names = {c.name for c in checks}
                 assert {"projection-onto", "projection-bound"} <= names

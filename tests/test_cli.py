@@ -66,7 +66,7 @@ class TestClassify:
         assert "Z_5 wr Z^1: admits finite, R = 2" in out
         assert "automorphism file: automorphism-n5-k1.json" in out
         aut = automorphism_from_dict(fileformat.load(tmp_path / "automorphism-n5-k1.json"))
-        assert aut.is_valid
+        assert aut.validate().ok
 
     def test_infinite_case(self, capsys, tmp_path):
         code, out, _ = run(capsys, "classify", "2", "3")
@@ -1195,9 +1195,7 @@ class TestOracle:
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         broken = OracleCheck("tbft", "n=3;m=2;k=1", False, 9, 8)
-        monkeypatch.setattr(
-            "lamptwist.finite.verify_tbft_finite", lambda g, f, base, ordinary: broken
-        )
+        monkeypatch.setattr("lamptwist.finite.verify_tbft_finite", lambda f, base, ordinary: broken)
         code, out, _ = run(capsys, "oracle", "3", "2", "1")
         assert code == 2
         assert "oracle: 0 pass, 4 fail" in out

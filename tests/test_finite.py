@@ -89,7 +89,7 @@ def all_h_classes(cayley, inverses, aut):
     images = cayley[cayley, aut.at(inverses)[:, None]]  # images[h, g] = (h g) aut(h^-1)
     minima = images.min(axis=0)
     reps = np.unique(minima)
-    return TwistedClassPartition(np.searchsorted(reps, minima), reps, len(reps))
+    return TwistedClassPartition(minima, reps, len(reps))
 
 
 def same_partition(a, b):
@@ -238,9 +238,9 @@ class TestGroupModel:
         g = FiniteWreathGroup(7, 2, 2)  # order 9604: class counts need no multiplication table
         assert g.order == 9604
         f = descend_automorphism(finite_reidemeister_automorphism(7, 2), g)
-        part = twisted_classes(g, f)
+        part = twisted_classes(f)
         assert part.count == 4
-        chk = verify_tbft_finite(g, f, part, twisted_classes(g, identity_descent(g)))
+        chk = verify_tbft_finite(f, part, twisted_classes(identity_descent(g)))
         assert chk.passed and chk.lhs == 4, chk.line()
         assert sum(a.nbytes for a in g.ensure_tables().values()) < 1 << 20
 
@@ -350,7 +350,7 @@ class TestDescend:
             Torsion.delta(3, 1, (0,)),
             [Torsion.delta(3, 1, (0,))],
         )
-        assert aut.is_valid
+        assert aut.validate().ok
         with pytest.raises(DescentError):
             descend_automorphism(aut, g)
 
@@ -363,7 +363,7 @@ class TestDescend:
         aut = twist(WreathAutomorphism.identity(GroupParams(3, 1)), gamma)
         f = descend_automorphism(aut, g)
         # inner automorphisms never change class counts
-        assert twisted_classes(g, f).count == twisted_classes(g, identity_descent(g)).count
+        assert twisted_classes(f).count == twisted_classes(identity_descent(g)).count
 
     def test_matches_pointwise_application(self):
         g = FiniteWreathGroup(5, 2, 1)
@@ -416,7 +416,7 @@ class TestDescend:
         c = Torsion(n, 2, [((0, 0), 1), ((1, 0), -1)])
         origin = Torsion.delta(n, 2, (0, 0))
         aut = WreathAutomorphism(GroupParams(n, 2), ((1, 0), (0, 1)), origin, [c, c])
-        assert not aut.is_valid
+        assert not aut.validate().ok
         monkeypatch.setattr(WreathAutomorphism, "_require_valid", lambda self: None)
         with pytest.raises(DescentError, match="^cocycle obstruction on axis 1 does not vanish"):
             descend_automorphism(aut, FiniteWreathGroup(n, 2, 2))
@@ -600,19 +600,19 @@ class TestTwistedClasses:
         # Z_3 wr Z/2: torsion pairs split into 6 classes, the 9 swap-side
         # elements into 3 classes by coefficient sum
         g = FiniteWreathGroup(3, 2, 1)
-        assert twisted_classes(g, identity_descent(g)).count == 9
+        assert twisted_classes(identity_descent(g)).count == 9
 
     def test_matches_unionfind(self):
         g = FiniteWreathGroup(3, 2, 1)
         for f in zero_cocycle_catalog(g):
-            fast = twisted_classes(g, f)
+            fast = twisted_classes(f)
             slow = twisted_classes_unionfind(g, f)
             assert same_partition(fast, slow)
 
     def test_matches_unionfind_rank_two(self):
         g = FiniteWreathGroup(2, 2, 2)
         f = zero_cocycle_catalog(g)[-1]
-        assert np.array_equal(twisted_classes(g, f).labels, twisted_classes_unionfind(g, f).labels)
+        assert np.array_equal(twisted_classes(f).labels, twisted_classes_unionfind(g, f).labels)
 
     @pytest.mark.parametrize("model", REFERENCE_MODELS, ids="{0[0]}-{0[1]}-{0[2]}".format)
     def test_matches_references(self, model):
@@ -625,7 +625,7 @@ class TestTwistedClasses:
         catalog = zero_cocycle_catalog(g)
         twists = [twisted_by(f, rng.randrange(g.order)) for f in rng.sample(catalog, 4)]
         for f in catalog + twists:
-            fast = twisted_classes(g, f)
+            fast = twisted_classes(f)
             assert same_partition(fast, all_h_classes(cayley, inverses, f))
             if g.order <= 81:  # the literal union-find takes |G|^2 Python steps
                 assert same_partition(fast, twisted_classes_unionfind(g, f))
@@ -633,13 +633,13 @@ class TestTwistedClasses:
     def test_doubling_has_two_classes(self):
         g = FiniteWreathGroup(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        assert twisted_classes(g, f).count == 2
+        assert twisted_classes(f).count == 2
 
     def test_labels_constant_on_orbits(self):
         rng = random.Random(79)
         g = FiniteWreathGroup(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        part = twisted_classes(g, f)
+        part = twisted_classes(f)
         for _ in range(100):
             h = rng.randrange(g.order)
             x = rng.randrange(g.order)
@@ -648,7 +648,7 @@ class TestTwistedClasses:
 
     def test_fixed_conjugacy_identity(self):
         g = FiniteWreathGroup(3, 2, 1)
-        assert fixed_conjugacy_classes(twisted_classes(g, i := identity_descent(g)), i) == 9
+        assert fixed_conjugacy_classes(twisted_classes(i := identity_descent(g)), i) == 9
 
 
 def spy_orbit_minima(monkeypatch):
@@ -720,12 +720,19 @@ class TestOrbitMinima:
         # the chunks of inner twists that the shift check counts on (7, 3, 1)
         g = FiniteWreathGroup(7, 3, 1)
         f = zero_cocycle_catalog(g)[-1]
-        base = twisted_classes(g, f)
+        base = twisted_classes(f)
         calls = spy_orbit_minima(monkeypatch)
-        verify_shift_invariance(g, f, finite._shift_samples(g.order), base)
+        verify_shift_invariance(f, finite._shift_samples(g.order), base)
         assert len(calls) > 1 and max(order for _, order, _ in calls) > g.order
         for call in calls:
             assert_orbit_minima(*call)
+
+
+def mismatched_projection():
+    """(9, 2, 1) over (3, 2, 1), a catalog map of the big model, and the mod-3 map of
+    another catalog entry: the small map that the big one induces is a different one."""
+    catalog = zero_cocycle_automorphisms(9, 1, 2)
+    return FiniteWreathGroup(9, 2, 1), FiniteWreathGroup(3, 2, 1), catalog[-1], catalog[1].induce(3)
 
 
 def batch_automorphisms(group):
@@ -766,7 +773,7 @@ class TestBatchedPartitions:
         cayley, inverses = reference_cayley(g)
         for f, part in zip(auts, batch):
             assert part.labels.dtype == part.reps.dtype == np.int64 and type(part.count) is int
-            assert same_partition(part, twisted_classes(g, f))
+            assert same_partition(part, twisted_classes(f))
             assert same_partition(part, all_h_classes(cayley, inverses, f))
 
     @pytest.mark.parametrize("bound", ["one-node", "order-plus-one", "ragged"])
@@ -776,15 +783,15 @@ class TestBatchedPartitions:
         # it counts gets the same partition, and every check the same figures
         g = FiniteWreathGroup(*model)
         f = zero_cocycle_catalog(g)[-1]
-        base = twisted_classes(g, f)
+        base = twisted_classes(f)
         calls = spy_partitions(monkeypatch)
-        expected = verify_shift_invariance(g, f, range(g.order), base)
+        expected = verify_shift_invariance(f, range(g.order), base)
         expected_calls = calls[:]
         calls.clear()
         # one twist per coset of the n constant configurations; the center's is f itself
         twisted = g.order // g.modulus - 1
         monkeypatch.setattr(finite, "_CHUNK_NODES", chunk_bounds(g, twisted)[bound])
-        assert verify_shift_invariance(g, f, range(g.order), base) == expected
+        assert verify_shift_invariance(f, range(g.order), base) == expected
         assert len(calls) != len(expected_calls)  # the rows really were chunked otherwise
         rows = [row for call in calls for row in call]
         expected_rows = [row for call in expected_calls for row in call]
@@ -812,9 +819,9 @@ class TestBatchedPartitions:
             by_coset.setdefault(coset[h], set()).add(h)
             images[table.tobytes()] = tuple(table[inverse_gens].tolist())
         assert sorted(map(sorted, by_table.values())) == sorted(map(sorted, by_coset.values()))
-        base = twisted_classes(g, f)
+        base = twisted_classes(f)
         calls = spy_partitions(monkeypatch)
-        verify_shift_invariance(g, f, elements, base)
+        verify_shift_invariance(f, elements, base)
         counted = sorted(row for call in calls for row, _ in call)
         assert counted == sorted(set(images.values()) - {f.images})
         assert len(counted) == len(by_coset) - 1
@@ -844,10 +851,9 @@ class TestOracleChecks:
     def test_tbft_on_catalogs(self):
         for n, m, k in [(3, 2, 1), (5, 2, 1), (3, 3, 1), (2, 2, 2)]:
             g = FiniteWreathGroup(n, m, k)
+            ordinary = twisted_classes(identity_descent(g))
             for f in zero_cocycle_catalog(g):
-                chk = verify_tbft_finite(
-                    g, f, twisted_classes(g, f), twisted_classes(g, identity_descent(g))
-                )
+                chk = verify_tbft_finite(f, twisted_classes(f), ordinary)
                 assert chk.passed, chk.line()
 
     def test_tbft_with_inner_twists(self):
@@ -855,12 +861,11 @@ class TestOracleChecks:
         f = zero_cocycle_catalog(g)[1]
         twists = inner_twists(g, f)
         assert twists[0] == f
-        base = twisted_classes(g, f).count
+        base = twisted_classes(f).count
+        ordinary = twisted_classes(identity_descent(g))
         for tw in twists:
-            assert verify_tbft_finite(
-                g, tw, twisted_classes(g, tw), twisted_classes(g, identity_descent(g))
-            ).passed
-            assert twisted_classes(g, tw).count == base
+            assert verify_tbft_finite(tw, twisted_classes(tw), ordinary).passed
+            assert twisted_classes(tw).count == base
 
     def test_inner_twists_of_identity_frozen_count(self):
         # the center of Z_3 wr Z/2 is the three constant torsion elements
@@ -871,7 +876,7 @@ class TestOracleChecks:
     def test_shift_invariance(self):
         g = FiniteWreathGroup(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        checks = verify_shift_invariance(g, f, range(g.order), twisted_classes(g, f))
+        checks = verify_shift_invariance(f, range(g.order), twisted_classes(f))
         assert len(checks) == 3 * g.order == 150
         for chk in checks:
             assert chk.passed, chk.line()
@@ -883,18 +888,15 @@ class TestOracleChecks:
             for aut in zero_cocycle_automorphisms(15, 1, 2):
                 fb = descend_automorphism(aut, big)
                 fs = descend_automorphism(aut.induce(d), small)
-                checks = verify_projection(big, small, fb, fs, twisted_classes(big, fb))
+                checks = verify_projection(fb, fs, twisted_classes(fb))
                 assert all(c.passed for c in checks), [c.line() for c in checks]
 
     def test_projection_diagram_fail_counts_the_disagreements(self):
-        # the big model's map paired with the small descent of another catalog entry:
         # the diagram fails at exactly the x where aut_small(pi(x)) != pi(aut_big(x))
-        big, small = FiniteWreathGroup(9, 2, 1), FiniteWreathGroup(3, 2, 1)
-        catalog = zero_cocycle_automorphisms(9, 1, 2)
-        aut_big, aut_other = catalog[-1], catalog[1].induce(3)
+        big, small, aut_big, aut_other = mismatched_projection()
         fb = descend_automorphism(aut_big, big)
         fs = descend_automorphism(aut_other, small)
-        checks = verify_projection(big, small, fb, fs, twisted_classes(big, fb))
+        checks = verify_projection(fb, fs, twisted_classes(fb))
         bad = 0
         for x in range(big.order):
             gx = element_to_group(big, x)
@@ -904,6 +906,44 @@ class TestOracleChecks:
         assert 0 < bad < big.order
         assert checks[0] == OracleCheck("projection-diagram", checks[0].params, False, bad, 0)
 
+    def test_projection_class_map_figures_match_brute_force(self):
+        big, small, aut_big, aut_other = mismatched_projection()
+        fb = descend_automorphism(aut_big, big)
+        fs = descend_automorphism(aut_other, small)
+        checks = {c.name: c for c in verify_projection(fb, fs, twisted_classes(fb))}
+        big_labels = twisted_classes_unionfind(big, fb).labels
+        small_labels = twisted_classes_unionfind(small, fs).labels
+        down = [
+            small_labels[group_to_index(small, project_element(element_to_group(big, x), 3))]
+            for x in range(big.order)
+        ]
+        pairs, onto = len(set(zip(big_labels, down))), len(set(down))
+        classmap = checks["projection-classmap"]
+        assert not classmap.passed and (classmap.lhs, classmap.rhs) == (pairs, 6) == (7, 6)
+        assert checks["projection-onto"] == OracleCheck(
+            "projection-onto", classmap.params, True, onto, onto
+        )
+
+    def test_shift_class_map_figures_match_brute_force(self):
+        # right translation by x against the classes of f and of its twist by x^-1
+        g = FiniteWreathGroup(3, 2, 1)
+        f = zero_cocycle_catalog(g)[1]
+        base = twisted_classes(f)
+        labels = twisted_classes_unionfind(g, f).labels
+        checks = verify_shift_invariance(f, range(g.order), base)
+        for x in range(g.order):
+            _, classmap, onto = checks[3 * x : 3 * x + 3]
+            twist_labels = twisted_classes_unionfind(g, twisted_by(f, inverse(g, x))).labels
+            moved = [twist_labels[multiply(g, y, x)] for y in range(g.order)]
+            assert classmap.lhs == len(set(zip(labels, moved))) == base.count
+            assert onto.lhs == len(set(moved)) == onto.rhs
+
+    def test_class_map_into_one_class(self):
+        g = FiniteWreathGroup(3, 2, 1)
+        base = twisted_classes(zero_cocycle_catalog(g)[1])
+        where = np.full(g.order, 5)
+        assert finite._class_map(base, base, where) == (base.count, 1)
+
     def test_projection_index_map_needs_matching_box(self):
         with pytest.raises(ValueError):
             projection_index_map(FiniteWreathGroup(15, 2, 1), FiniteWreathGroup(5, 3, 1))
@@ -911,7 +951,7 @@ class TestOracleChecks:
     def test_restriction_bound_frozen(self):
         g = FiniteWreathGroup(5, 2, 1)
         f = descend_automorphism(finite_reidemeister_automorphism(5, 1), g)
-        checks = verify_restriction_bound(g, f, twisted_classes(g, f))
+        checks = verify_restriction_bound(f, twisted_classes(f))
         assert [c.name for c in checks] == ["restriction-preserved", "restriction-bound"]
         assert all(c.passed for c in checks)
         bound = checks[1]
@@ -921,7 +961,7 @@ class TestOracleChecks:
         for n, m, k in [(3, 2, 1), (5, 2, 1), (3, 3, 1)]:
             g = FiniteWreathGroup(n, m, k)
             for f in zero_cocycle_catalog(g):
-                checks = verify_restriction_bound(g, f, twisted_classes(g, f))
+                checks = verify_restriction_bound(f, twisted_classes(f))
                 assert all(c.passed for c in checks)
 
 
@@ -929,7 +969,7 @@ class TestCatalogs:
     def test_zero_cocycle_automorphism_count(self):
         auts = zero_cocycle_automorphisms(3, 1, 2)
         assert len(auts) == 2 * 2 * 2  # matrices x box points x units
-        assert all(a.is_valid for a in auts)
+        assert all(a.validate().ok for a in auts)
 
     def test_catalog_dedupes(self):
         g = FiniteWreathGroup(3, 2, 1)
@@ -942,7 +982,6 @@ class TestCatalogs:
         g = FiniteWreathGroup(2, 2, 2)
         catalog = zero_cocycle_catalog(g)
         assert len(catalog) >= 2
+        ordinary = twisted_classes(identity_descent(g))
         for f in catalog:
-            assert verify_tbft_finite(
-                g, f, twisted_classes(g, f), twisted_classes(g, identity_descent(g))
-            ).passed
+            assert verify_tbft_finite(f, twisted_classes(f), ordinary).passed

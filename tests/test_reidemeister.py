@@ -93,13 +93,13 @@ class TestConstructions:
         aut = finite_reidemeister_automorphism(5, 1)
         assert aut.matrix == ((-1,),)
         assert aut.origin_image == Torsion.delta(5, 1, (0,), 2)
-        assert aut.is_valid
+        assert aut.validate().ok
 
     def test_block_shape(self):
         aut = finite_reidemeister_automorphism(9, 2)
         assert aut.matrix == BLOCK
         assert aut.origin_image == Torsion.delta(9, 2, (0, 0), 2)
-        assert aut.is_valid
+        assert aut.validate().ok
 
     def test_multiplier_congruences(self):
         # the 7-part needs residue 3, every other prime power residue 2
@@ -245,7 +245,7 @@ class TestPipeline:
                 expected = n % 2 == 0 or (n % 3 == 0 and k % 2 == 1)
                 assert verdict.always_infinite == expected
                 if not expected:
-                    assert verdict.automorphism.is_valid
+                    assert verdict.automorphism.validate().ok
                     want = 2**k if n % 3 else 3 ** (k // 2)
                     assert verdict.reidemeister == want
 
