@@ -158,7 +158,12 @@ def _cmd_verify(args):
 def _cmd_oracle(args):
     # imported here: `finite` loads numpy, which no other subcommand needs
     from .finite import (
-        DEFAULT_BUDGET, ORACLE_CHECKS, FiniteWreathGroup, run_checks, zero_cocycle_automorphisms
+        DEFAULT_BUDGET,
+        ORACLE_CHECKS,
+        FiniteWreathGroup,
+        check_catalog_budget,
+        run_checks,
+        zero_cocycle_automorphisms,
     )
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
@@ -179,6 +184,7 @@ def _cmd_oracle(args):
     if args.aut:
         sources = [_load_automorphism(args.aut)]
     else:
+        check_catalog_budget(group, budget)
         sources = zero_cocycle_automorphisms(args.n, args.k, args.m)
     results = list(run_checks(group, sources, checks, args.divisor))
 
@@ -217,37 +223,41 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `commands` maps each subcommand's name to its parser."""
     parser = _Parser(
         prog="lamptwist",
         description="Exact Reidemeister-class computations in Z_n wr Z^k",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = {}
+
+    def add_command(name, func, summary):
+        p = parser.commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("classify", help="decide the R-infinity property for (n, k)")
+    p = add_command("classify", _cmd_classify, "decide the R-infinity property for (n, k)")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--out", help="path for the emitted automorphism file")
     p.add_argument("--no-write", action="store_true", help="do not write the automorphism file")
     add_format(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("construct", help="build a finite-R automorphism and write it")
+    p = add_command("construct", _cmd_construct, "build a finite-R automorphism and write it")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--out", help="output path (default automorphism-n<N>-k<K>.json)")
     add_format(p)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("reidemeister", help="compute R for an automorphism file")
+    p = add_command("reidemeister", _cmd_reidemeister, "compute R for an automorphism file")
     p.add_argument("file")
     p.add_argument("--emit-certificate", metavar="PATH")
     add_format(p)
-    p.set_defaults(func=_cmd_reidemeister)
 
-    p = sub.add_parser("oracle", help="brute-force checks on a finite model")
+    p = add_command("oracle", _cmd_oracle, "brute-force checks on a finite model")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
@@ -256,25 +266,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--aut", help="automorphism file to descend instead of the catalog")
     add_format(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="replay a surjectivity certificate file")
+    p = add_command("verify", _cmd_verify, "replay a surjectivity certificate file")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("validate", help="validate an automorphism file")
+    p = add_command("validate", _cmd_validate, "validate an automorphism file")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one call and return its exit code.
+
+    The call is parsed once, by the parser of the subcommand that argv[0]
+    names; argv that names none (empty, a help flag, a typo) goes to the
+    top-level parser, which prints the help or the usage error.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:

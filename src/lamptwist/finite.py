@@ -49,7 +49,7 @@ import numpy as np
 from .group import GroupParams, Torsion
 from .matrix import ORDER_THREE_BLOCK, block_diagonal, check_rank, det, identity as identity_matrix
 from .automorphism import InvalidAutomorphism, WreathAutomorphism
-from .modular import bounded_message
+from .modular import bounded_message, totient
 
 DEFAULT_BUDGET = 10**6
 
@@ -103,27 +103,43 @@ class FiniteWreathGroup:
     # -- vectorized arithmetic ---------------------------------------------------
 
     def ensure_tables(self) -> dict:
-        """Digit tables of the encoding: O(|G|) entries, built once per model."""
+        """Digit tables of the encoding and the model's constants, built once per model."""
         if self._tables is None:
-            n, pcount = self.modulus, self.point_count
-            d = np.arange(self.torsion_count, dtype=np.int64)
+            n, m, pcount = self.modulus, self.box, self.point_count
+            # digits[t, i] is digit i of t in base n: in a view of shape
+            # (n^(k-1-i), n, n^i), that is the middle index
             digits = np.empty((self.torsion_count, pcount), dtype=np.int64)
+            values = np.arange(n, dtype=np.int64)[:, None]
             for i in range(pcount):
-                digits[:, i] = d % n
-                d //= n
+                digits.reshape(-1, n, n**i, pcount)[..., i] = values
+            wt = n ** np.arange(pcount, dtype=np.int64)
             coords = np.array(self.points, dtype=np.int64)
             strides = np.array(self.strides, dtype=np.int64)
+            perms = (coords[:, None, :] + coords) % m @ strides
+            sneg = -coords % m @ strides
             low = pcount // 2
+            high_digits = digits[: n ** (pcount - low), : pcount - low]
+            low_digits = digits[: n**low, :low]
             self._tables = {
                 "digits": digits,
-                "wt": n ** np.arange(pcount, dtype=np.int64),
-                # perms[s, p] is the point index of p + s, sneg[p] that of -p
-                "perms": (coords[:, None, :] + coords) % self.box @ strides,
-                "sneg": -coords % self.box @ strides,
-                # row h holds slot * n + digit for the digits of the high (low) half h
-                # of a torsion index: the term columns that `translations` sums
-                "high": np.arange(low, pcount) * n + digits[: n ** (pcount - low), : pcount - low],
-                "low": np.arange(low) * n + digits[: n**low, :low],
+                "wt": wt,
+                "coords": coords,
+                "strides": strides,
+                "ids": np.arange(pcount, dtype=np.int64),
+                # perms[s, p] is the point index of p + s, sneg[p] that of -p,
+                # back[s, p] that of s - p
+                "perms": perms,
+                "sneg": sneg,
+                "back": perms[:, sneg],
+                # axes[i] lists the points j e_i for j < m
+                "axes": np.arange(m, dtype=np.int64) * strides[:, None],
+                # a column of the digit values, and each slot's weight in an element index
+                "values": values,
+                "place": wt * pcount,
+                # row i, column h: slot * n + digit for the i-th digit of the high (low)
+                # half h of a torsion index, the term columns that `translations` sums
+                "high": (np.arange(low, pcount) * n + high_digits).T.copy(),
+                "low": (np.arange(low) * n + low_digits).T.copy(),
             }
             # s^-1 for every generator s, which every class count's edge maps read
             self._tables["inverse_gens"] = self.inverses(self.generators())
@@ -135,7 +151,8 @@ class FiniteWreathGroup:
         t, s = np.divmod(np.asarray(elements, dtype=np.int64), self.point_count)
         neg = tables["sneg"][s]
         # slot i of -c moves to slot i - z
-        torsion = (-tables["digits"][t] % self.modulus * tables["wt"][tables["perms"][neg]]).sum(1)
+        lamps = -tables["digits"].take(t, axis=0) % self.modulus
+        torsion = (lamps * tables["wt"][tables["perms"].take(neg, axis=0)]).sum(1)
         return torsion * self.point_count + neg
 
     def products(self, a, b) -> np.ndarray:
@@ -145,8 +162,8 @@ class FiniteWreathGroup:
         pcount = self.point_count
         (ta, sa), (tb, sb) = (np.divmod(np.asarray(x, dtype=np.int64), pcount) for x in (a, b))
         # slot j of z . d holds d[j - z]
-        moved = np.take_along_axis(digits[tb], perms[tables["sneg"][sa]], axis=1)
-        torsion = (digits[ta] + moved) % self.modulus @ tables["wt"]
+        moved = digits[tb[:, None], perms[tables["sneg"][sa]]]
+        torsion = (digits.take(ta, axis=0) + moved) % self.modulus @ tables["wt"]
         return torsion * pcount + perms[sa, sb]
 
     def translations(self, pairs) -> np.ndarray:
@@ -157,27 +174,34 @@ class FiniteWreathGroup:
         its torsion index times m^k plus its shift, is a constant plus one
         term per digit of c_x, so it is summed from the high and the low half
         of the digits, each tabulated over about sqrt(T) values.  The halves
-        are added by broadcasting into an array of shape (pairs, T_high,
-        T_low, m^k), whose flat index t·m^k + z_x is the element index of x:
-        O(|G|) work per pair, and nothing of that size is copied.
+        are added in place in an array of shape (pairs, T_high, T_low, m^k),
+        whose flat index t·m^k + z_x is the element index of x: O(|G|) work
+        per pair, and nothing of that size is copied.
         """
         tables = self.ensure_tables()
-        digits, perms, sneg = tables["digits"], tables["perms"], tables["sneg"]
-        n, pcount = self.modulus, self.point_count
+        digits, perms = tables["digits"], tables["perms"]
+        pcount = self.point_count
         (ta, sa), (tb, sb) = (np.divmod(np.array(side), pcount) for side in zip(*pairs))
         # target[j, i] = z_a + i: slot i of c_x moves there, and z_x = i shifts to it
-        target = perms[sa]
+        target = perms.take(sa, axis=0)
         # added[j, i, z]: c_a + (z_a + z) . c_b at slot target[j, i], for z_x = z
-        moved_a = np.take_along_axis(digits[ta], target, axis=1)
-        added = moved_a[:, :, None] + digits[tb][:, perms[:, sneg]]
+        added = digits[ta[:, None], target][:, :, None] + digits[tb[:, None, None], tables["back"]]
         # term[j, i * n + d, z]: the contribution of digit value d at slot i, times m^k
-        term = (np.arange(n)[:, None] + added[:, :, None, :]) % n
-        term *= (tables["wt"][target] * pcount)[:, :, None, None]
+        term = (tables["values"] + added[:, :, None, :]) % self.modulus
+        term *= tables["place"][target][:, :, None, None]
         term = term.reshape(len(ta), -1, pcount)
-        high = term[:, tables["high"]].sum(axis=2) + perms[target, sb[:, None]][:, None, :]
-        low = term[:, tables["low"]].sum(axis=2)
-        # allocated in C order, whatever the layout of the fancy-indexed halves
-        out = np.add(high[:, :, None, :], low[:, None, :, :], order="C")
+
+        def half(columns):
+            total = np.zeros((len(ta), columns.shape[1], pcount), dtype=np.int64)
+            for column in columns:
+                total += term.take(column, axis=1)
+            return total
+
+        high, low = half(tables["high"]), half(tables["low"])
+        high += perms[target, sb[:, None]][:, None, :]
+        out = np.empty((len(ta), high.shape[1], low.shape[1], pcount), dtype=np.int64)
+        out[...] = low[:, None]
+        out += high[:, :, None]
         return out.reshape(len(ta), -1)
 
 
@@ -213,28 +237,30 @@ class FiniteAutomorphism:
         and corr[z + e_i] = corr[z] + S(z) . corr[e_i].
         """
         group, name = self.group, self.provenance
-        n, pcount = group.modulus, group.point_count
+        n = group.modulus
         tables = group.ensure_tables()
         perms, shift, u_rows, corr = tables["perms"], self.shift, self.u_rows, self.corr
-        permutes = np.array_equal(np.sort(shift), np.arange(pcount))
+        permutes = (np.sort(shift) == tables["ids"]).all()
         if not permutes or gcd(det(u_rows.tolist()), n) != 1:
             raise InvalidAutomorphism(f"{name} is not a bijection")
         # row z of v[moved] is v translated by S z: (w . v)[j] = v[j - w]
-        moved = perms[tables["sneg"][shift]]
+        moved = perms.take(tables["sneg"][shift], axis=0)
         gens = group.generators()
-        if shift[0] != 0 or np.any(u_rows != (u_rows[0] + corr[0])[moved] % n):
+        if shift[0] != 0 or (u_rows != (u_rows[0] + corr[0])[moved] % n).any():
             raise InvalidAutomorphism(f"{name} is not multiplicative at generator {gens[0]}")
         for e in gens[1:]:
-            additive = np.array_equal(shift[perms[e]], perms[shift[e], shift])
-            if not additive or np.any(corr[perms[e]] != (corr + corr[e][moved]) % n):
+            additive = (shift[perms[e]] == perms[shift[e], shift]).all()
+            if not additive or (corr.take(perms[e], axis=0) != (corr + corr[e][moved]) % n).any():
                 raise InvalidAutomorphism(f"{name} is not multiplicative at generator {e}")
 
     def at(self, indices) -> np.ndarray:
         """The image of every element of an index array, as int64."""
-        tables = self.group.ensure_tables()
-        t, s = np.divmod(np.asarray(indices, dtype=np.int64), self.group.point_count)
-        lamps = (tables["digits"][t] @ self.u_rows + self.corr[s]) % self.group.modulus
-        return (lamps @ tables["wt"]) * self.group.point_count + self.shift[s]
+        group = self.group
+        tables = group.ensure_tables()
+        t, s = np.divmod(np.asarray(indices, dtype=np.int64), group.point_count)
+        lamps = tables["digits"].take(t, axis=0) @ self.u_rows + self.corr.take(s, axis=0)
+        lamps %= group.modulus
+        return lamps @ tables["place"] + self.shift[s]
 
     def _key(self):
         group = self.group
@@ -274,13 +300,13 @@ def descend_automorphism(aut: WreathAutomorphism, group: FiniteWreathGroup) -> F
 
     # the point index of M p for every box point p
     reduced = np.array([[x % m for x in row] for row in aut.matrix], dtype=np.int64)
-    shift = (np.array(group.points, dtype=np.int64) @ reduced.T) % m @ strides
+    shift = tables["coords"] @ reduced.T % m @ tables["strides"]
     # row p of v[moved] is v translated by M p: (z . v)[j] = v[j - z]
-    moved = tables["perms"][tables["sneg"][shift]]
+    moved = tables["perms"].take(tables["sneg"][shift], axis=0)
     steps = [reduce_vec(c)[moved] for c in aut.cocycle]  # steps[i][p] = shift(M p) c_i
 
-    for i, step in enumerate(steps):
-        if np.any(step[np.arange(m) * strides[i]].sum(axis=0) % n):
+    for i, (step, line) in enumerate(zip(steps, tables["axes"])):
+        if (step.take(line, axis=0).sum(axis=0) % n).any():
             raise DescentError(
                 f"cocycle obstruction on axis {i} does not vanish in the box of side {m}"
             )
@@ -339,7 +365,7 @@ def _partitions(group: FiniteWreathGroup, images) -> list[TwistedClassPartition]
     ids = np.arange(order)
     out = []
     for labels in all_minima:
-        reps = np.flatnonzero(labels == ids)
+        reps = (labels == ids).nonzero()[0]
         out.append(TwistedClassPartition(labels, reps, len(reps)))
     return out
 
@@ -438,7 +464,8 @@ def verify_shift_invariance(
     center, is `base`, the partition of `aut` itself.  Right translation by
     g must send the classes of `base` one to one onto those of the twist by
     g^-1.  Of a chunk's partitions only the counts and the class-map figures
-    are kept, so memory stays that of one chunk.
+    are kept, so memory stays that of one chunk; the figures of all of a
+    chunk's elements come from one row-wise sort.
     """
     group = aut.group
     elements = list(elements)
@@ -454,8 +481,8 @@ def verify_shift_invariance(
         moved = {g: parts[row] for g, row in zip(elements, by_inverse) if row in parts}
         if moved:
             rights = group.translations([(group.identity, g) for g in moved])
-            for (g, part), right in zip(moved.items(), rights):
-                classmap[g] = _class_map(base, part, right)
+            mapped = np.stack([part.labels[right] for part, right in zip(moved.values(), rights)])
+            classmap.update(zip(moved, _class_maps(base, mapped)))
 
     record({aut.images: base})
     rest = [row for row in dict.fromkeys(rows) if row != aut.images]
@@ -494,8 +521,23 @@ def _class_map(
     where[x]) pairs, which equals base.count when the map sends each base
     class into one `part` class; `onto` is the number of `part` classes hit.
     """
-    mapped = part.labels[where]
-    return _distinct(base.labels * len(part.labels) + mapped), _distinct(mapped)
+    return _class_maps(base, part.labels[where][None])[0]
+
+
+def _class_maps(base: TwistedClassPartition, mapped: np.ndarray) -> list[tuple[int, int]]:
+    """`_class_map` figures for each row of `mapped`, the classes of where[x], by one sort.
+
+    Each row's keys put the class of where[x] before that of x, so once a
+    row is sorted, it lists its pairs and, in the high part of each key, the
+    classes hit, each run of equal values standing for one.
+    """
+    size = len(base.labels)
+    keys = mapped * size + base.labels
+    keys.sort(axis=1)
+    hit = keys // size
+    pairs = 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
+    onto = 1 + np.count_nonzero(hit[:, 1:] != hit[:, :-1], axis=1)
+    return list(zip(pairs.tolist(), onto.tolist()))
 
 
 def projection_index_map(big: FiniteWreathGroup, small: FiniteWreathGroup) -> np.ndarray:
@@ -560,9 +602,9 @@ def verify_restriction_bound(
         return checks
     tables = group.ensure_tables()
     digits, wt = tables["digits"], tables["wt"]
-    chi = ((digits - digits[images // pcount]) % group.modulus) @ wt
+    chi = ((digits - digits.take(images // pcount, axis=0)) % group.modulus) @ wt
     restricted = group.torsion_count // _distinct(chi)
-    fixed = int(np.count_nonzero(aut.shift == np.arange(pcount)))
+    fixed = int(np.count_nonzero(aut.shift == tables["ids"]))
     bound = base.count * fixed
     checks.append(
         OracleCheck("restriction-bound", params, restricted <= bound, restricted, bound)
@@ -572,16 +614,13 @@ def verify_restriction_bound(
 
 # -- catalogs ---------------------------------------------------------------------
 
+# A catalog run counts the classes of every entry over all of G; it is refused
+# when that work, entries times |G|, would exceed this many times the budget.
+CATALOG_BUDGET_FACTOR = 100
 
-def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorphism]:
-    """Single-point-unit, zero-cocycle automorphisms of Z_n wr Z^k.
 
-    The matrices are I, -I, the cyclic coordinate shift (k >= 2) and the
-    order-three block diagonal (even k).  Support points range over the box
-    [0, box)^k so every entry descends to the matching finite model.
-    Deterministic order: matrix, point, unit.
-    """
-    params = GroupParams(n, k)
+def _catalog_matrices(k: int) -> list:
+    """I, -I, the cyclic coordinate shift (k >= 2) and the order-three block diagonal (even k)."""
     matrices = [identity_matrix(k), block_diagonal(((-1,),), k)]
     if k >= 2:
         matrices.append(
@@ -589,10 +628,36 @@ def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorph
         )
     if k % 2 == 0:
         matrices.append(block_diagonal(ORDER_THREE_BLOCK, k))
+    return matrices
+
+
+def catalog_size(n: int, k: int, box: int) -> int:
+    """The length of `zero_cocycle_automorphisms(n, k, box)`: matrices · box^k · φ(n)."""
+    return len(_catalog_matrices(k)) * box**k * totient(n)
+
+
+def check_catalog_budget(group: FiniteWreathGroup, budget: int) -> None:
+    """Refuse the model's catalog, before it is built, when its class counts overrun the budget."""
+    size = catalog_size(group.modulus, group.rank, group.box)
+    if size * group.order > CATALOG_BUDGET_FACTOR * budget:
+        raise BudgetExceeded(bounded_message(
+            "catalog of {} automorphisms, each counted over |G| = {}, exceeds {} times budget {}",
+            size, group.order, CATALOG_BUDGET_FACTOR, budget,
+        ))
+
+
+def zero_cocycle_automorphisms(n: int, k: int, box: int) -> list[WreathAutomorphism]:
+    """Single-point-unit, zero-cocycle automorphisms of Z_n wr Z^k.
+
+    The matrices are those of `_catalog_matrices`.  Support points range
+    over the box [0, box)^k so every entry descends to the matching finite
+    model.  Deterministic order: matrix, point, unit.
+    """
+    params = GroupParams(n, k)
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     return [
         WreathAutomorphism(params, matrix, Torsion.delta(n, k, point, c))
-        for matrix in matrices
+        for matrix in _catalog_matrices(k)
         for point in itertools.product(range(box), repeat=k)
         for c in units
     ]

@@ -82,6 +82,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi of n >= 1, from its factorization."""
+    phi = n
+    for p in factorize(n):
+        phi = phi // p * (p - 1)
+    return phi
+
+
 def modinv(a: int, m: int) -> int | None:
     """Inverse of a mod m, or None when gcd(a, m) > 1."""
     try:

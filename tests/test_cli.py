@@ -1,5 +1,7 @@
+import argparse
 import copy
 import gzip
+import hashlib
 import json
 import os
 import pathlib
@@ -842,6 +844,52 @@ class TestModelRefusal:
     def test_lines_under_200_characters_unchanged(self, capsys, argv, line):
         assert run_hostile(capsys, "oracle", *argv) == f"error: {line}"
 
+    def test_catalog_past_the_budget_refused_before_it_is_built(self, capsys, monkeypatch):
+        # 2 matrices x 999,982 units, each counted over |G| = 999,983: hours of counts
+        monkeypatch.setattr(finite, "zero_cocycle_automorphisms", None)  # never reached
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "999983", "1", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "") and len(err.encode()) < 200
+        assert err == (
+            "error: catalog of 1999964 automorphisms, each counted over |G| = 999983, "
+            "exceeds 100 times budget 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 200 entries x |G| = 101 = 20200 = 100 x 202: the bound itself
+            (["101", "1", "1", "--budget", "202"], 0),
+            (["101", "1", "1", "--budget", "201"], 1),
+            # the largest catalogs that the tests and CI run
+            (["1009", "1", "1"], 0),
+            (["3", "10", "1", "--check", "tbft"], 0),
+            # an --aut run has no catalog to bound
+            (["101", "1", "1", "--budget", "101", "--aut", "a.json"], 0),
+        ],
+        ids=["at-bound", "past-bound", "1009-1-1", "3-10-1", "aut"],
+    )
+    def test_catalog_bound(self, capsys, monkeypatch, argv, code):
+        fileformat.save("a.json", automorphism_to_dict(WreathAutomorphism(
+            GroupParams(101, 1), ((-1,),), Torsion.delta(101, 1, (0,), 3)
+        )))
+        built = []
+
+        def catalog(n, k, box):
+            built.append((n, box, k))  # in the order of argv
+            return []  # counts nothing: the bound is the point here
+
+        monkeypatch.setattr(finite, "zero_cocycle_automorphisms", catalog)
+        got, out, err = run(capsys, "oracle", *argv)
+        assert got == code
+        if code:
+            assert built == [] and err.startswith("error: catalog of 200 automorphisms")
+        elif "--aut" in argv:
+            assert built == [] and out.endswith("oracle: 1 pass, 0 fail\n")
+        else:
+            assert built == [tuple(map(int, argv[:3]))] and out == "oracle: 0 pass, 0 fail\n"
+
 
 class TestLongNumbers:
     # an error line gives a number of over 40 digits by its order of magnitude when
@@ -1236,6 +1284,118 @@ class TestHarness:
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0]
         assert cli.build_parser() is cli.build_parser()
+
+
+TOP_LEVEL_HELP = """\
+usage: lamptwist [-h]
+                 {classify,construct,reidemeister,oracle,verify,validate} ...
+
+Exact Reidemeister-class computations in Z_n wr Z^k
+
+positional arguments:
+  {classify,construct,reidemeister,oracle,verify,validate}
+    classify            decide the R-infinity property for (n, k)
+    construct           build a finite-R automorphism and write it
+    reidemeister        compute R for an automorphism file
+    oracle              brute-force checks on a finite model
+    verify              replay a surjectivity certificate file
+    validate            validate an automorphism file
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SUBCOMMANDS = ("classify", "construct", "reidemeister", "oracle", "verify", "validate")
+
+
+def invalid_choice_line(value):
+    """argparse's own line for an unknown subcommand: how it quotes the choices varies
+    with the Python version."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("subcommand", choices=SUBCOMMANDS)
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args([value])
+    return f"error: {exc.value}\n"
+
+
+class TestDispatch:
+    """A call is parsed once, by its subcommand's parser; argv that names no subcommand
+    goes to the top-level parser.  Either way the output is what the two-stage parse of
+    the top-level parser printed."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            ([], 1, "", "error: the following arguments are required: subcommand\n"),
+            (["-h"], 0, TOP_LEVEL_HELP, ""),
+            (["--he"], 0, TOP_LEVEL_HELP, ""),
+            (["bogus"], 1, "", None),
+            (["oracle", "3", "2"], 1, "", "error: the following arguments are required: k\n"),
+            (["oracle", "3", "2", "1", "--bogus"], 1, "", "error: unrecognized arguments: --bogus\n"),
+            (["classify", "5", "1", "--no-w"], 0, "Z_5 wr Z^1: admits finite, R = 2\n", ""),
+            # 216 checks: its SHA-256, and the summary line
+            (
+                ["oracle", "3", "2", "1", "--chec", "shift"],
+                0,
+                ("6366e378b292c31240f89bc7893e0d48469e107b9cfefd31cf5aa061d6de8458",
+                 "oracle: 216 pass, 0 fail"),
+                "",
+            ),
+            (["classify", "--", "5", "1", "--no-write"], 1, "",
+             "error: unrecognized arguments: --no-write\n"),
+            (["construct", "5", "2", "--out"], 1, "", "error: argument --out: expected one argument\n"),
+        ],
+        ids=["empty", "help", "help-abbreviated", "unknown-subcommand", "missing-positional",
+             "unknown-option", "abbreviated-flag", "abbreviated-option", "double-dash",
+             "option-without-value"],
+    )
+    def test_output_as_the_top_level_parse_printed_it(self, capsys, argv, code, out, err):
+        got_code, got_out, got_err = run(capsys, *argv)
+        if isinstance(out, tuple):
+            digest, last = out
+            assert hashlib.sha256(got_out.encode()).hexdigest() == digest
+            assert got_out.splitlines()[-1] == last
+        else:
+            assert got_out == out
+        assert (got_code, got_err) == (code, invalid_choice_line(argv[0]) if err is None else err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "5", "1", "--no-write"],
+            ["construct", "5", "1"],
+            ["reidemeister", "missing.json"],
+            ["oracle", "3", "2", "1"],
+            ["verify", "missing.json"],
+            ["validate", "missing.json"],
+            ["classify", "5"],
+        ],
+        ids=[*SUBCOMMANDS, "usage-error"],
+    )
+    def test_one_parse_per_call(self, capsys, monkeypatch, argv):
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        cli.build_parser()  # built outside the count
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        run(capsys, *argv)
+        assert calls == [f"lamptwist {argv[0]}"]
+
+    def test_commands_follow_a_rebuilt_parser(self):
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        assert list(parser.commands) == list(SUBCOMMANDS)
+        assert all(p.prog == f"lamptwist {name}" for name, p in parser.commands.items())
+        cli.build_parser.cache_clear()
+        assert cli.build_parser().commands["oracle"] is not parser.commands["oracle"]
 
 
 NUMPY_FREE_SCRIPT = """

@@ -17,6 +17,7 @@ from lamptwist.finite import (
     FiniteWreathGroup,
     OracleCheck,
     TwistedClassPartition,
+    catalog_size,
     descend_automorphism,
     fixed_conjugacy_classes,
     projection_index_map,
@@ -924,19 +925,41 @@ class TestOracleChecks:
             "projection-onto", classmap.params, True, onto, onto
         )
 
-    def test_shift_class_map_figures_match_brute_force(self):
-        # right translation by x against the classes of f and of its twist by x^-1
-        g = FiniteWreathGroup(3, 2, 1)
-        f = zero_cocycle_catalog(g)[1]
-        base = twisted_classes(f)
-        labels = twisted_classes_unionfind(g, f).labels
-        checks = verify_shift_invariance(f, range(g.order), base)
-        for x in range(g.order):
-            _, classmap, onto = checks[3 * x : 3 * x + 3]
-            twist_labels = twisted_classes_unionfind(g, twisted_by(f, inverse(g, x))).labels
-            moved = [twist_labels[multiply(g, y, x)] for y in range(g.order)]
-            assert classmap.lhs == len(set(zip(labels, moved))) == base.count
-            assert onto.lhs == len(set(moved)) == onto.rhs
+    def test_shift_class_map_figures_match_brute_force(self, monkeypatch):
+        # right translation by x against the classes of f and of its twist by x^-1: on
+        # (3, 2, 1) for every x, by union-find over all pairs (h, x), in one chunk; on
+        # (3, 2, 2) for the 25 samples, by union-find over the generators' edge maps,
+        # products taken one element at a time, with the twists counted 12 rows to a
+        # 4096-node chunk, so the batched figures cross chunk boundaries
+        counted = []
+        real = finite._partitions
+        monkeypatch.setattr(
+            finite, "_partitions", lambda group, rows: counted.append(len(rows)) or real(group, rows)
+        )
+        for model, chunks in [((3, 2, 1), 1), ((3, 2, 2), 3)]:
+            g = FiniteWreathGroup(*model)
+            f = zero_cocycle_catalog(g)[1]
+            base = twisted_classes(f)
+            samples = finite._shift_samples(g.order)
+
+            def brute_labels(aut):
+                if g.order <= finite.SHIFT_SAMPLE_CAP:
+                    return twisted_classes_unionfind(g, aut).labels
+                inverses = [int(aut.at(inverse(g, s))) for s in g.generators()]
+                edges = [[multiply(g, multiply(g, s, x), fs) for x in range(g.order)]
+                         for s, fs in zip(g.generators(), inverses)]
+                return orbit_minima_unionfind(edges, g.order).tolist()
+
+            counted.clear()
+            checks = verify_shift_invariance(f, samples, base)
+            assert len(counted) == chunks
+            labels = brute_labels(f)
+            for i, x in enumerate(samples):
+                _, classmap, onto = checks[3 * i : 3 * i + 3]
+                twist_labels = brute_labels(twisted_by(f, inverse(g, x)))
+                moved = [twist_labels[multiply(g, y, x)] for y in range(g.order)]
+                assert classmap.lhs == len(set(zip(labels, moved))) == base.count
+                assert onto.lhs == len(set(moved)) == onto.rhs
 
     def test_class_map_into_one_class(self):
         g = FiniteWreathGroup(3, 2, 1)
@@ -970,6 +993,12 @@ class TestCatalogs:
         auts = zero_cocycle_automorphisms(3, 1, 2)
         assert len(auts) == 2 * 2 * 2  # matrices x box points x units
         assert all(a.validate().ok for a in auts)
+
+    @pytest.mark.parametrize(
+        "n, k, box", [(2, 1, 1), (3, 1, 2), (4, 2, 1), (6, 2, 2), (5, 3, 1), (9, 4, 1), (101, 1, 1)]
+    )
+    def test_catalog_size_is_the_catalog_length(self, n, k, box):
+        assert catalog_size(n, k, box) == len(zero_cocycle_automorphisms(n, k, box))
 
     def test_catalog_dedupes(self):
         g = FiniteWreathGroup(3, 2, 1)

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from lamptwist.modular import crt, crt_pair, divisors, factorize, modinv
+from lamptwist.modular import crt, crt_pair, divisors, factorize, modinv, totient
 
 import reference
 from reference import reference_solve_linear
@@ -158,3 +159,12 @@ class TestDivisors:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
         assert divisors(49) == [1, 7, 49]
+
+
+class TestTotient:
+    def test_matches_counting_units(self):
+        for n in range(1, 300):
+            assert totient(n) == sum(1 for c in range(1, n + 1) if math.gcd(c, n) == 1)
+
+    def test_large_prime(self):
+        assert totient(999983) == 999982
