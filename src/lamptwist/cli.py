@@ -6,6 +6,11 @@ Each `_cmd_*` handler returns (exit code, JSON payload, text lines), and
 Output is deterministic (no timestamps); numbers print in decimal and the
 infinite count prints as the literal `infinite`.
 
+A cold call loads only what its subcommand runs: `main` builds that one
+subcommand's parser, and each handler imports the modules it uses when it
+runs.  So `classify` on an R-infinity pair loads `group` and `modular` alone,
+and only `oracle` loads numpy.
+
 Exit codes: 0 definite success, 1 input error, 2 property violation,
 3 inconclusive (unknown Reidemeister number).
 """
@@ -16,15 +21,8 @@ import argparse
 import functools
 import sys
 
-from . import fileformat
+from .group import GroupParams
 from .modular import bounded_message
-from .reidemeister import (
-    classify_r_infinity,
-    finite_reidemeister_automorphism,
-    reidemeister_number,
-    render_count,
-    replay_certificate,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,41 +34,42 @@ def _default_automorphism_path(n: int, k: int) -> str:
     return f"automorphism-n{n}-k{k}.json"
 
 
-def _load_automorphism(path: str):
-    return fileformat.automorphism_from_dict(fileformat.load(path))
-
-
 # -- classify / construct -------------------------------------------------------
 
 
 def _cmd_classify(args):
-    verdict = classify_r_infinity(args.n, args.k)
-    path = None
-    if not verdict.always_infinite and not args.no_write:
-        path = args.out or _default_automorphism_path(args.n, args.k)
-        fileformat.save(path, fileformat.automorphism_to_dict(verdict.automorphism))
+    group = GroupParams(args.n, args.k)
+    reason = group.r_infinity_reason()
+    count = path = None
+    if reason:
+        lines = [f"{group}: R-infinity ({reason})"]
+    else:
+        from . import fileformat, reidemeister
+
+        verdict = reidemeister.classify_r_infinity(args.n, args.k)
+        count = verdict.reidemeister
+        lines = [f"{group}: admits finite, R = {count}"]
+        if not args.no_write:
+            path = args.out or _default_automorphism_path(args.n, args.k)
+            fileformat.save(path, fileformat.automorphism_to_dict(verdict.automorphism))
+            lines.append(f"automorphism file: {path}")
     payload = {
         "command": "classify",
-        "modulus": verdict.modulus,
-        "rank": verdict.rank,
-        "always_infinite": verdict.always_infinite,
-        "reason": verdict.reason,
-        "reidemeister": verdict.reidemeister,
+        "modulus": args.n,
+        "rank": args.k,
+        "always_infinite": reason is not None,
+        "reason": reason,
+        "reidemeister": count,
         "automorphism_file": path,
     }
-    group = f"Z_{verdict.modulus} wr Z^{verdict.rank}"
-    if verdict.always_infinite:
-        lines = [f"{group}: R-infinity ({verdict.reason})"]
-    else:
-        lines = [f"{group}: admits finite, R = {verdict.reidemeister}"]
-    if path is not None:
-        lines.append(f"automorphism file: {path}")
     return EXIT_OK, payload, lines
 
 
 def _cmd_construct(args):
-    aut = finite_reidemeister_automorphism(args.n, args.k)
-    result = reidemeister_number(aut)
+    from . import fileformat, reidemeister
+
+    aut = reidemeister.finite_reidemeister_automorphism(args.n, args.k)
+    result = reidemeister.reidemeister_number(aut)
     path = args.out or _default_automorphism_path(args.n, args.k)
     fileformat.save(path, fileformat.automorphism_to_dict(aut))
     payload = {
@@ -90,8 +89,10 @@ def _cmd_construct(args):
 
 
 def _cmd_reidemeister(args):
-    aut = _load_automorphism(args.file)
-    result = reidemeister_number(aut)
+    from . import fileformat, reidemeister
+
+    aut = fileformat.automorphism_from_dict(fileformat.load(args.file))
+    result = reidemeister.reidemeister_number(aut)
     status = "skipped" if result.route == "lattice-infinite" else result.certificate.status
     if args.emit_certificate:
         if status == "skipped":
@@ -99,7 +100,7 @@ def _cmd_reidemeister(args):
         else:
             cert = fileformat.certificate_to_dict(result.certificate)
             fileformat.save(args.emit_certificate, cert)
-    quotient = render_count(result.quotient)
+    quotient = reidemeister.render_count(result.quotient)
     payload = {
         "command": "reidemeister",
         "quotient": quotient,
@@ -116,7 +117,9 @@ def _cmd_reidemeister(args):
 
 
 def _cmd_validate(args):
-    report = _load_automorphism(args.file).validate()
+    from . import fileformat
+
+    report = fileformat.automorphism_from_dict(fileformat.load(args.file)).validate()
     flags = {
         "matrix_unimodular": report.matrix_unimodular,
         "u_is_unit": report.u_is_unit,
@@ -132,8 +135,10 @@ def _cmd_validate(args):
 
 
 def _cmd_verify(args):
+    from . import fileformat, reidemeister
+
     cert = fileformat.certificate_from_dict(fileformat.load(args.file))
-    failures = replay_certificate(cert)
+    failures = reidemeister.replay_certificate(cert)
     witnesses = sorted(cert.witnesses)
     payload = {
         "command": "verify",
@@ -156,7 +161,6 @@ def _cmd_verify(args):
 
 
 def _cmd_oracle(args):
-    # imported here: `finite` loads numpy, which no other subcommand needs
     from .finite import (
         DEFAULT_BUDGET,
         ORACLE_CHECKS,
@@ -182,7 +186,9 @@ def _cmd_oracle(args):
 
     group = FiniteWreathGroup(args.n, args.m, args.k, budget=budget)
     if args.aut:
-        sources = [_load_automorphism(args.aut)]
+        from . import fileformat
+
+        sources = [fileformat.automorphism_from_dict(fileformat.load(args.aut))]
     else:
         check_catalog_budget(group, budget)
         sources = zero_cocycle_automorphisms(args.n, args.k, args.m)
@@ -221,6 +227,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, _error_line(message))
 
 
+# name: (handler, summary, arguments); every subcommand also takes --format
+_COMMANDS = {
+    "classify": (_cmd_classify, "decide the R-infinity property for (n, k)", (
+        ("n", {"type": int}),
+        ("k", {"type": int}),
+        ("--out", {"help": "path for the emitted automorphism file"}),
+        ("--no-write", {"action": "store_true", "help": "do not write the automorphism file"}),
+    )),
+    "construct": (_cmd_construct, "build a finite-R automorphism and write it", (
+        ("n", {"type": int}),
+        ("k", {"type": int}),
+        ("--out", {"help": "output path (default automorphism-n<N>-k<K>.json)"}),
+    )),
+    "reidemeister": (_cmd_reidemeister, "compute R for an automorphism file", (
+        ("file", {}),
+        ("--emit-certificate", {"metavar": "PATH"}),
+    )),
+    "oracle": (_cmd_oracle, "brute-force checks on a finite model", (
+        ("n", {"type": int}),
+        ("m", {"type": int}),
+        ("k", {"type": int}),
+        ("--check", {"default": "tbft", "help": "comma list: tbft,shift,projection,restriction"}),
+        ("--divisor", {"type": int, "help": "small modulus for projection checks"}),
+        ("--budget", {"type": int}),
+        ("--aut", {"help": "automorphism file to descend instead of the catalog"}),
+    )),
+    "verify": (_cmd_verify, "replay a surjectivity certificate file", (("file", {}),)),
+    "validate": (_cmd_validate, "validate an automorphism file", (("file", {}),)),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, arguments = _COMMANDS[name]
+    parser.set_defaults(func=func)
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser; its `commands` maps each subcommand's name to its parser."""
@@ -229,73 +275,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Reidemeister-class computations in Z_n wr Z^k",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.commands = {}
-
-    def add_command(name, func, summary):
-        p = parser.commands[name] = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        return p
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add_command("classify", _cmd_classify, "decide the R-infinity property for (n, k)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--out", help="path for the emitted automorphism file")
-    p.add_argument("--no-write", action="store_true", help="do not write the automorphism file")
-    add_format(p)
-
-    p = add_command("construct", _cmd_construct, "build a finite-R automorphism and write it")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--out", help="output path (default automorphism-n<N>-k<K>.json)")
-    add_format(p)
-
-    p = add_command("reidemeister", _cmd_reidemeister, "compute R for an automorphism file")
-    p.add_argument("file")
-    p.add_argument("--emit-certificate", metavar="PATH")
-    add_format(p)
-
-    p = add_command("oracle", _cmd_oracle, "brute-force checks on a finite model")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--check", default="tbft", help="comma list: tbft,shift,projection,restriction")
-    p.add_argument("--divisor", type=int, help="small modulus for projection checks")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--aut", help="automorphism file to descend instead of the catalog")
-    add_format(p)
-
-    p = add_command("verify", _cmd_verify, "replay a surjectivity certificate file")
-    p.add_argument("file")
-    add_format(p)
-
-    p = add_command("validate", _cmd_validate, "validate an automorphism file")
-    p.add_argument("file")
-    add_format(p)
-
+    parser.commands = {
+        name: _add_arguments(sub.add_parser(name, help=summary), name)
+        for name, (_, summary, _) in _COMMANDS.items()
+    }
     return parser
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built without the others: it prints the help and
+    the errors that `build_parser().commands[name]` prints."""
+    return _add_arguments(_Parser(prog=f"lamptwist {name}"), name)
 
 
 def main(argv=None) -> int:
     """Run one call and return its exit code.
 
     The call is parsed once, by the parser of the subcommand that argv[0]
-    names; argv that names none (empty, a help flag, a typo) goes to the
-    top-level parser, which prints the help or the usage error.
+    names, built without the others; argv that names none (empty, a help
+    flag, a typo) goes to the top-level parser, which prints the help or the
+    usage error.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+        if argv and argv[0] in _COMMANDS:
+            args = command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         code, payload, lines = args.func(args)
-        text = "".join(f"{line}\n" for line in lines)
-        sys.stdout.write(fileformat.dumps(payload) if args.format == "json" else text)
+        if args.format == "json":
+            from . import fileformat
+
+            sys.stdout.write(fileformat.dumps(payload))
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
         return code
     except (ValueError, OSError) as exc:  # every bad-input error is a ValueError
         sys.stderr.write(_error_line(exc))

@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 from .automorphism import WreathAutomorphism
 from .group import GroupParams, Torsion
 from .matrix import as_matrix, matrix_order
-from .reidemeister import PreimageTemplate, SurjectivityCertificate
+
+if TYPE_CHECKING:  # `validate` and `oracle --aut` read automorphism files without reidemeister
+    from .reidemeister import SurjectivityCertificate
 
 SCHEMA_VERSION = 1
 CERTIFICATE_KIND = "surjectivity-certificate"
@@ -201,6 +204,8 @@ def _orbit_length(key: str) -> int:
 
 
 def certificate_from_dict(data: dict) -> SurjectivityCertificate:
+    from .reidemeister import PreimageTemplate, SurjectivityCertificate
+
     check_schema(data, kind=CERTIFICATE_KIND)
     try:
         aut = automorphism_from_dict(data["automorphism"])

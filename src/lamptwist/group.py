@@ -55,6 +55,14 @@ class GroupParams:
     def __str__(self):
         return f"Z_{self.modulus} wr Z^{self.rank}"
 
+    def r_infinity_reason(self) -> str | None:
+        """The paper's reason why every automorphism has infinite R, or None if none does."""
+        if self.modulus % 2 == 0:
+            return "modulus is even"
+        if self.modulus % 3 == 0 and self.rank % 2:
+            return "modulus divisible by 3 and rank odd"
+        return None
+
 
 def _check_same(a, b):
     if a.modulus != b.modulus or a.rank != b.rank:

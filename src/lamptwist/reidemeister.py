@@ -183,15 +183,6 @@ def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate
 # -- classification and the full pipeline --------------------------------------
 
 
-def _r_infinity_reason(n: int, k: int) -> str | None:
-    """The paper's reason why every automorphism has infinite R, or None if none does."""
-    if n % 2 == 0:
-        return "modulus is even"
-    if n % 3 == 0 and k % 2:
-        return "modulus divisible by 3 and rank odd"
-    return None
-
-
 def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     """An automorphism of Z_n wr Z^k with finite Reidemeister number.
 
@@ -204,7 +195,7 @@ def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
     every orbit length t dividing N, so the orbit template exists.
     """
     params = GroupParams(n, k)
-    if _r_infinity_reason(n, k):
+    if params.r_infinity_reason():
         raise ValueError(f"every automorphism of Z_{n} wr Z^{k} has infinite Reidemeister number")
     block, order = (((-1,),), 2) if n % 3 else (ORDER_THREE_BLOCK, 3)
     mult, _ = crt(
@@ -225,8 +216,7 @@ class Classification(NamedTuple):
 
 def classify_r_infinity(n: int, k: int) -> Classification:
     """Decide whether every automorphism of Z_n wr Z^k has infinite Reidemeister number."""
-    GroupParams(n, k)  # validates the inputs
-    reason = _r_infinity_reason(n, k)
+    reason = GroupParams(n, k).r_infinity_reason()
     if reason:
         return Classification(n, k, True, reason=reason)
     aut = finite_reidemeister_automorphism(n, k)

@@ -1279,11 +1279,13 @@ class TestHarness:
         fresh = []
         for argv in argvs:
             cli.build_parser.cache_clear()
+            cli.command_parser.cache_clear()
             fresh.append(run(capsys, *argv))
         reused = [run(capsys, *argv) for argv in argvs]
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0]
         assert cli.build_parser() is cli.build_parser()
+        assert cli.command_parser("oracle") is cli.command_parser("oracle")
 
 
 TOP_LEVEL_HELP = """\
@@ -1316,6 +1318,14 @@ def invalid_choice_line(value):
     with pytest.raises(argparse.ArgumentError) as exc:
         probe.parse_args([value])
     return f"error: {exc.value}\n"
+
+
+def parse_exit(capsys, parser, argv):
+    """Exit code, stdout and stderr of a parse that exits: a help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 class TestDispatch:
@@ -1389,6 +1399,28 @@ class TestDispatch:
         run(capsys, *argv)
         assert calls == [f"lamptwist {argv[0]}"]
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("classify", ["5"]),
+            ("construct", ["5", "x"]),
+            ("reidemeister", ["a.json", "--emit-certificate"]),
+            ("oracle", ["3", "2", "1", "--format", "xml"]),
+            ("verify", []),
+            ("validate", ["a.json", "b.json"]),
+        ],
+    )
+    def test_command_parser_prints_as_the_top_level_parser(self, capsys, name, bad):
+        outputs = []
+        for argv in (["--help"], bad):
+            got = parse_exit(capsys, cli.command_parser(name), argv)
+            assert got == parse_exit(capsys, cli.build_parser().commands[name], argv)
+            assert got == parse_exit(capsys, cli.build_parser(), [name, *argv])
+            outputs.append(got)
+        (help_code, help_out, _), (error_code, _, error) = outputs
+        assert help_code == 0 and help_out.startswith(f"usage: lamptwist {name} [-h]")
+        assert error_code == 2 and error.startswith("error: ")
+
     def test_commands_follow_a_rebuilt_parser(self):
         cli.build_parser.cache_clear()
         parser = cli.build_parser()
@@ -1457,6 +1489,25 @@ print(json.dumps({"bare": bare, "loaded": loaded}))
 """
 
 
+# one call in a fresh interpreter: its exit code, the watched modules it loaded (past
+# what the interpreter had loaded before lamptwist) and whether it built the top-level parser
+LOADS_SCRIPT = """
+import sys
+
+def watched():
+    return {m for m in sys.modules if m.startswith("lamptwist.") or m in ("json", "numpy")}
+
+bare = watched()
+import lamptwist.cli as cli
+
+code = cli.main(sys.argv[1:])
+loaded = sorted(watched() - bare)
+top_level = cli.build_parser.cache_info().currsize
+import json
+print(json.dumps([code, loaded, top_level]))
+"""
+
+
 def run_fresh(cwd, script, *args):
     """Run `script` in a fresh interpreter that imports this checkout of lamptwist."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
@@ -1488,6 +1539,23 @@ class TestStartup:
             ["validate", 0, False, False, False],
             ["oracle", 0, True, True, False],
         ]
+
+    def test_each_subcommand_loads_what_it_runs(self, tmp_path):
+        light = ["lamptwist.cli", "lamptwist.group", "lamptwist.modular"]
+        files = [*light, "json", "lamptwist.automorphism", "lamptwist.fileformat",
+                 "lamptwist.matrix"]
+        verdicts = [*files, "lamptwist.reidemeister"]
+        cases = [
+            (["classify", "6", "1", "--no-write"], light),
+            (["classify", "5", "1", "--out", "a.json"], verdicts),
+            (["construct", "5", "2", "--out", "b.json"], verdicts),
+            (["reidemeister", "b.json", "--emit-certificate", "c.json"], verdicts),
+            (["verify", "c.json"], verdicts),
+            (["validate", "a.json"], files),
+            (["oracle", "5", "2", "1", "--aut", "a.json"], [*files, "lamptwist.finite", "numpy"]),
+        ]
+        got = [run_fresh(tmp_path, LOADS_SCRIPT, *argv) for argv, _ in cases]
+        assert got == [[0, sorted(loaded), 0] for _, loaded in cases]
 
     def test_oracle_skips_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma on first use; the oracle counts distinct labels without it
