@@ -30,11 +30,23 @@ EXIT_VIOLATION = 2
 EXIT_UNKNOWN = 3
 
 
-def _default_automorphism_path(n: int, k: int) -> str:
-    return f"automorphism-n{n}-k{k}.json"
-
-
 # -- classify / construct -------------------------------------------------------
+
+
+def _finite_witness(args, write: bool):
+    """Build the finite-R witness of (n, k), certify it and, when `write`, save it to
+    `--out` or automorphism-n<N>-k<K>.json: returns the result and the path, or None."""
+    from . import fileformat, reidemeister
+
+    aut = reidemeister.finite_reidemeister_automorphism(args.n, args.k)
+    result = reidemeister.reidemeister_number(aut)
+    if result.route != "template":
+        raise AssertionError("constructed automorphism failed to certify a finite count")
+    path = None
+    if write:
+        path = args.out or f"automorphism-n{args.n}-k{args.k}.json"
+        fileformat.save(path, fileformat.automorphism_to_dict(aut))
+    return result, path
 
 
 def _cmd_classify(args):
@@ -44,14 +56,10 @@ def _cmd_classify(args):
     if reason:
         lines = [f"{group}: R-infinity ({reason})"]
     else:
-        from . import fileformat, reidemeister
-
-        verdict = reidemeister.classify_r_infinity(args.n, args.k)
-        count = verdict.reidemeister
+        result, path = _finite_witness(args, not args.no_write)
+        count = result.value
         lines = [f"{group}: admits finite, R = {count}"]
-        if not args.no_write:
-            path = args.out or _default_automorphism_path(args.n, args.k)
-            fileformat.save(path, fileformat.automorphism_to_dict(verdict.automorphism))
+        if path:
             lines.append(f"automorphism file: {path}")
     payload = {
         "command": "classify",
@@ -66,12 +74,7 @@ def _cmd_classify(args):
 
 
 def _cmd_construct(args):
-    from . import fileformat, reidemeister
-
-    aut = reidemeister.finite_reidemeister_automorphism(args.n, args.k)
-    result = reidemeister.reidemeister_number(aut)
-    path = args.out or _default_automorphism_path(args.n, args.k)
-    fileformat.save(path, fileformat.automorphism_to_dict(aut))
+    result, path = _finite_witness(args, True)
     payload = {
         "command": "construct",
         "modulus": args.n,
@@ -269,23 +272,21 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; its `commands` maps each subcommand's name to its parser."""
+    """The top-level parser, for argv that names no subcommand."""
     parser = _Parser(
         prog="lamptwist",
         description="Exact Reidemeister-class computations in Z_n wr Z^k",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.commands = {
-        name: _add_arguments(sub.add_parser(name, help=summary), name)
-        for name, (_, summary, _) in _COMMANDS.items()
-    }
+    for name, (_, summary, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
 @functools.cache
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one subcommand, built without the others: it prints the help and
-    the errors that `build_parser().commands[name]` prints."""
+    the errors that `build_parser()`'s subparser of that name prints."""
     return _add_arguments(_Parser(prog=f"lamptwist {name}"), name)
 
 

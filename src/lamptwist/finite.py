@@ -512,22 +512,14 @@ def _distinct(a: np.ndarray) -> int:
     return int(s.size > 0) + int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def _class_map(
-    base: TwistedClassPartition, part: TwistedClassPartition, where: np.ndarray
-) -> tuple[int, int]:
-    """The figures of x -> where[x] against the classes: (pairs, onto).
-
-    `pairs` is the number of distinct (base class of x, `part` class of
-    where[x]) pairs, which equals base.count when the map sends each base
-    class into one `part` class; `onto` is the number of `part` classes hit.
-    """
-    return _class_maps(base, part.labels[where][None])[0]
-
-
 def _class_maps(base: TwistedClassPartition, mapped: np.ndarray) -> list[tuple[int, int]]:
-    """`_class_map` figures for each row of `mapped`, the classes of where[x], by one sort.
+    """The figures of maps x -> where[x] against the classes: (pairs, onto) per row.
 
-    Each row's keys put the class of where[x] before that of x, so once a
+    Each row of `mapped` holds the classes of where[x] in some partition.
+    `pairs` is the number of distinct (base class of x, class of where[x])
+    pairs, which equals base.count when the map sends each base class into
+    one class; `onto` is the number of classes hit.  All rows take one sort:
+    each row's keys put the class of where[x] before that of x, so once a
     row is sorted, it lists its pairs and, in the high part of each key, the
     classes hit, each run of equal values standing for one.
     """
@@ -562,7 +554,7 @@ def verify_projection(
     diagram_bad = int(np.count_nonzero(aut_small.at(pi) != pi[aut_big.at(np.arange(big.order))]))
     checks = [OracleCheck("projection-diagram", params, diagram_bad == 0, diagram_bad, 0)]
     part_small = twisted_classes(aut_small)
-    pairs, onto = _class_map(base, part_small, pi)
+    pairs, onto = _class_maps(base, part_small.labels[pi][None])[0]
     checks.append(
         OracleCheck("projection-classmap", params, pairs == base.count, pairs, base.count)
     )

@@ -180,7 +180,7 @@ def restriction_surjectivity(aut: WreathAutomorphism) -> SurjectivityCertificate
     return SurjectivityCertificate(aut, True, witnesses, template, route=route)
 
 
-# -- classification and the full pipeline --------------------------------------
+# -- the finite-R witness and the full pipeline --------------------------------
 
 
 def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
@@ -203,27 +203,6 @@ def finite_reidemeister_automorphism(n: int, k: int) -> WreathAutomorphism:
         for p, s in sorted(factorize(n).items())
     )
     return WreathAutomorphism(params, block_diagonal(block, k), Torsion.delta(n, k, (0,) * k, mult))
-
-
-class Classification(NamedTuple):
-    modulus: int
-    rank: int
-    always_infinite: bool
-    reason: str | None = None
-    automorphism: WreathAutomorphism | None = None
-    reidemeister: int | None = None
-
-
-def classify_r_infinity(n: int, k: int) -> Classification:
-    """Decide whether every automorphism of Z_n wr Z^k has infinite Reidemeister number."""
-    reason = GroupParams(n, k).r_infinity_reason()
-    if reason:
-        return Classification(n, k, True, reason=reason)
-    aut = finite_reidemeister_automorphism(n, k)
-    result = reidemeister_number(aut)
-    if result.route != "template":
-        raise AssertionError("constructed automorphism failed to certify a finite count")
-    return Classification(n, k, False, automorphism=aut, reidemeister=result.value)
 
 
 class ReidemeisterResult(NamedTuple):

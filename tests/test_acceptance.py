@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from lamptwist.group import GroupElement, GroupParams, Torsion
 from lamptwist.automorphism import is_group_ring_unit
 from lamptwist.reidemeister import (
-    classify_r_infinity,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
     reidemeister_number,
@@ -66,13 +65,16 @@ def test_criterion_1_classification_table():
     with criterion(1, "classification table", 1.0):
         for n in range(2, 61):
             for k in range(1, 7):
-                verdict = classify_r_infinity(n, k)
+                reason = GroupParams(n, k).r_infinity_reason()
                 expected = n % 2 == 0 or (n % 3 == 0 and k % 2 == 1)
-                assert verdict.always_infinite == expected, (n, k)
+                assert (reason is not None) == expected, (n, k)
                 if not expected:
-                    assert verdict.automorphism is not None
-                    assert verdict.automorphism.validate().ok
-                    assert verdict.reidemeister >= 2
+                    aut = finite_reidemeister_automorphism(n, k)
+                    result = reidemeister_number(aut)
+                    assert aut is not None
+                    assert aut.validate().ok
+                    assert result.route == "template"
+                    assert result.value >= 2
 
 
 def test_criterion_2_doubling_family():

@@ -965,7 +965,7 @@ class TestOracleChecks:
         g = FiniteWreathGroup(3, 2, 1)
         base = twisted_classes(zero_cocycle_catalog(g)[1])
         where = np.full(g.order, 5)
-        assert finite._class_map(base, base, where) == (base.count, 1)
+        assert finite._class_maps(base, base.labels[where][None]) == [(base.count, 1)]
 
     def test_projection_index_map_needs_matching_box(self):
         with pytest.raises(ValueError):

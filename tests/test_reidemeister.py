@@ -11,7 +11,6 @@ import pytest
 from lamptwist.group import GroupElement, GroupParams, Torsion
 from lamptwist.automorphism import InvalidAutomorphism, WreathAutomorphism
 from lamptwist.reidemeister import (
-    classify_r_infinity,
     default_test_points,
     finite_reidemeister_automorphism,
     reidemeister_abelian,
@@ -241,13 +240,15 @@ class TestPipeline:
     def test_classification_matches_parity_rule(self):
         for n in range(2, 20):
             for k in range(1, 4):
-                verdict = classify_r_infinity(n, k)
+                reason = GroupParams(n, k).r_infinity_reason()
                 expected = n % 2 == 0 or (n % 3 == 0 and k % 2 == 1)
-                assert verdict.always_infinite == expected
+                assert (reason is not None) == expected
                 if not expected:
-                    assert verdict.automorphism.validate().ok
+                    aut = finite_reidemeister_automorphism(n, k)
+                    assert aut.validate().ok
+                    result = reidemeister_number(aut)
                     want = 2**k if n % 3 else 3 ** (k // 2)
-                    assert verdict.reidemeister == want
+                    assert result.route == "template" and result.value == want
 
 
 # one automorphism per route reidemeister_number can take
